@@ -9,17 +9,14 @@ against this file instead of re-deriving throughput claims by hand.
 
 ``--pipeline`` times the end-to-end Figure 4 pipeline instead and
 writes ``BENCH_pipeline.json``: the sweep with a cold vs a warm
-persistent trace cache, the Monte Carlo large-LLC simulation swept
-across set-shard counts (1 / 2 / 4 / detected cores) plus a
-``shards="auto"`` variant, with per-variant ``parallel_efficiency``,
-shared-memory transport bytes, and the auto-tuner's thresholds — and a
-``streaming`` section measuring *peak RSS* (``ru_maxrss``) of chunked
-streaming replay vs monolithic replay of the same seeded synthetic
-MC-style trace on the 8MB LLC, each in its own subprocess so the
-high-water marks don't contaminate each other.  In streaming mode the
-trace is generated chunk-by-chunk and never materialised, so the
-recorded ``trace_bytes`` can exceed the streaming ``peak_rss_bytes``
-severalfold; the sampling estimator rides along as a third probe.
+persistent trace cache, and a ``streaming`` section measuring *peak
+RSS* (``ru_maxrss``) of chunked streaming replay vs monolithic replay
+of the same seeded synthetic MC-style trace on the 8MB LLC, each in its
+own subprocess so the high-water marks don't contaminate each other.
+In streaming mode the trace is generated chunk-by-chunk and never
+materialised, so the recorded ``trace_bytes`` can exceed the streaming
+``peak_rss_bytes`` severalfold; the sampling estimator rides along as a
+third probe.
 
 Usage::
 
@@ -81,14 +78,10 @@ if str(REPO_SRC) not in sys.path:  # allow running without PYTHONPATH
 
 from repro.cachesim import (  # noqa: E402
     PAPER_CACHES,
-    SHARD_AUTO_MIN_REFS,
-    SHARD_REFS_PER_WORKER,
     VERIFICATION_CACHES,
     CacheSimulator,
-    expanded_size,
-    shutdown_pool,
 )
-from repro.cachesim.simulator import _expand_lines  # noqa: E402
+from repro.cachesim.expand import _expand_lines  # noqa: E402
 from repro.experiments.configs import KERNEL_ORDER, WORKLOADS  # noqa: E402
 from repro.kernels.registry import KERNELS  # noqa: E402
 from repro.trace.cache import TraceCache  # noqa: E402
@@ -218,99 +211,6 @@ def bench_trace_cache(tier: str, repeats: int) -> dict:
         "warm_seconds": warm_best,
         "warm_speedup": cold_best / warm_best,
         **ledger,
-    }
-
-
-def _time_sharded(trace, geometry, refs: int, repeats: int, **sim_kwargs):
-    """Best-of-``repeats`` cold-cache sharded run; returns one variant row.
-
-    The persistent worker pool is shut down first so the recorded best
-    includes one pool spawn amortised across the repeats — the warm
-    steady state a sweep or service actually sees.
-    """
-    shutdown_pool()
-    best = float("inf")
-    stats = transport = None
-    resolved = {}
-    for _ in range(repeats):
-        sim = CacheSimulator(geometry, **sim_kwargs)
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            sim.run(trace)
-            best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-        stats = sim.stats.as_dict()
-        resolved = {"shards": sim.shards, "jobs": sim.jobs}
-        engine = sim._array
-        transport = getattr(engine, "last_transport", None)
-        if transport is not None:
-            transport = {
-                k: v for k, v in transport.items() if k != "shm_name"
-            }
-    row = {
-        **resolved,
-        "seconds": best,
-        "refs_per_sec": refs / best,
-        "transport": transport,
-        "stats": stats,
-    }
-    return row
-
-
-def bench_sharded(tier: str, repeats: int, shard_counts=None) -> dict:
-    """Monte Carlo on the paper's 8MB LLC across shard counts + auto.
-
-    The sweep covers the historical 1/2/4 points plus the detected core
-    count, with ``jobs`` equal to the shard count (what ``--jobs K``
-    selects), and one ``shards="auto"`` variant showing what the tuner
-    actually picks on this host.  Each row records wall time, speedup
-    over single-shard, ``parallel_efficiency`` (speedup / jobs) and the
-    shared-memory transport byte counts; the tuner's thresholds ride
-    along under ``auto_tuner`` so the crossover stays auditable.
-    """
-    cpus = _cpus()
-    geometry = PAPER_CACHES["8MB"]
-    trace = KERNELS["MC"].trace(WORKLOADS[tier]["MC"])
-    refs = expanded_size(trace, geometry.line_size)
-    if shard_counts is None:
-        shard_counts = sorted({1, 2, 4, cpus})
-    variants = []
-    for k in shard_counts:
-        row = _time_sharded(
-            trace, geometry, refs, repeats, engine="array", shards=k, jobs=k
-        )
-        variants.append(row)
-    baseline = next(v for v in variants if v["shards"] == 1)
-    auto = _time_sharded(
-        trace, geometry, refs, repeats,
-        engine="array", shards="auto", jobs="auto",
-    )
-    auto["plan"] = {"shards": auto["shards"], "jobs": auto["jobs"]}
-    base_stats = baseline["stats"]
-    base_seconds = baseline["seconds"]
-    for v in variants + [auto]:
-        v["identical"] = v.pop("stats") == base_stats
-        v["speedup"] = base_seconds / v["seconds"]
-        v["parallel_efficiency"] = v["speedup"] / max(1, v["jobs"])
-    shutdown_pool()
-    return {
-        "kernel": "MC",
-        "cache": "8MB",
-        "tier": tier,
-        "cpus": cpus,
-        "expanded_refs": refs,
-        "variants": variants,
-        "auto": auto,
-        "auto_tuner": {
-            "min_refs": SHARD_AUTO_MIN_REFS,
-            "refs_per_worker": SHARD_REFS_PER_WORKER,
-            "cpus": cpus,
-            "plan": auto["plan"],
-        },
-        "all_identical": all(v["identical"] for v in variants + [auto]),
     }
 
 
@@ -531,7 +431,7 @@ def bench_streaming(
 def run_pipeline(tier: str = "verification", repeats: int = 2) -> dict:
     """End-to-end pipeline benchmark; returns the BENCH_pipeline payload."""
     return {
-        "schema": "BENCH_pipeline/3",
+        "schema": "BENCH_pipeline/4",
         "tier": tier,
         "repeats": repeats,
         "python": platform.python_version(),
@@ -539,7 +439,6 @@ def run_pipeline(tier: str = "verification", repeats: int = 2) -> dict:
         "cpus": _cpus(),
         "malloc_tuned": MALLOC_TUNED,
         "trace_cache": bench_trace_cache(tier, repeats),
-        "sharded": bench_sharded(tier, repeats),
         "streaming": bench_streaming(tier),
     }
 
@@ -556,37 +455,6 @@ def render_pipeline(payload: dict) -> str:
         f"({tc['warm_hits']} hits, {tc['warm_misses']} misses)  "
         f"speedup {tc['warm_speedup']:.2f}x",
     ]
-    sh = payload["sharded"]
-    lines.append(
-        f"  MC on {sh['cache']} ({sh['expanded_refs']} expanded refs, "
-        f"{sh['cpus']} cpus):"
-    )
-
-    def _variant_line(v, tag=""):
-        transport = v.get("transport")
-        shm = (
-            f"  shm {transport['shm_bytes'] / 1e6:.1f}MB"
-            if transport
-            else ""
-        )
-        return (
-            f"    {tag}shards={v['shards']} jobs={v['jobs']}: "
-            f"{v['seconds'] * 1e3:8.1f}ms  {v['refs_per_sec']:.3g} refs/s  "
-            f"speedup {v['speedup']:.2f}x  "
-            f"eff {v['parallel_efficiency']:.2f}{shm}  "
-            f"identical={v['identical']}"
-        )
-
-    for v in sh["variants"]:
-        lines.append(_variant_line(v))
-    lines.append(_variant_line(sh["auto"], tag="auto -> "))
-    tuner = sh["auto_tuner"]
-    lines.append(
-        f"  tuner: min_refs={tuner['min_refs']} "
-        f"refs_per_worker={tuner['refs_per_worker']} -> "
-        f"plan {tuner['plan']}"
-    )
-    lines.append(f"  all shard counts identical: {sh['all_identical']}")
     st = payload["streaming"]
     lines.append(
         f"  streaming probes ({st['refs']} refs, "
@@ -654,7 +522,7 @@ def main(argv=None) -> int:
         "--pipeline",
         action="store_true",
         help="benchmark the end-to-end fig4 pipeline (trace cache "
-        "cold/warm, sharded simulation) instead of the raw engines",
+        "cold/warm, streaming replay) instead of the raw engines",
     )
     parser.add_argument(
         "--out",
@@ -695,10 +563,7 @@ def main(argv=None) -> int:
     if args.pipeline:
         out = args.out or "BENCH_pipeline.json"
         payload = run_pipeline(tier=args.tier, repeats=args.repeats)
-        ok = (
-            payload["sharded"]["all_identical"]
-            and payload["streaming"]["identical"]
-        )
+        ok = payload["streaming"]["identical"]
         text = render_pipeline(payload)
     else:
         out = args.out or "BENCH_cachesim.json"

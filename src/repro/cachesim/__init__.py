@@ -46,17 +46,6 @@ from repro.cachesim.estimate import (
     estimate_trace,
 )
 from repro.cachesim.expand import expanded_size
-from repro.cachesim.pool import (
-    effective_cpus,
-    pool_scope,
-    shutdown_pool,
-)
-from repro.cachesim.sharding import (
-    SHARD_AUTO_MIN_REFS,
-    SHARD_REFS_PER_WORKER,
-    ShardedLRUSimulator,
-    auto_shard_plan,
-)
 from repro.cachesim.simulator import CacheSimulator, simulate_trace
 from repro.cachesim.stats import CacheStats, LabelStats
 
@@ -64,7 +53,6 @@ __all__ = [
     "CacheGeometry",
     "SetAssociativeCache",
     "ArrayLRUEngine",
-    "ShardedLRUSimulator",
     "CacheEngineError",
     "CacheSimulator",
     "CacheStats",
@@ -76,13 +64,7 @@ __all__ = [
     "LabelEstimate",
     "TraceEstimator",
     "expanded_size",
-    "auto_shard_plan",
-    "effective_cpus",
-    "pool_scope",
-    "shutdown_pool",
     "AUTO_ARRAY_MIN_REFS",
-    "SHARD_AUTO_MIN_REFS",
-    "SHARD_REFS_PER_WORKER",
     "ENGINES",
     "PAPER_CACHES",
     "PROFILING_CACHES",

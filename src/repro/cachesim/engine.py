@@ -197,114 +197,6 @@ class ArrayLRUEngine:
         return self._labels[lid]
 
     # ------------------------------------------------------------------
-    # state round-trip (set-sharded worker processes)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Snapshot the full cache state for a worker-process round trip.
-
-        The arrays are copied, so the snapshot stays valid after further
-        replays.  Restore with :meth:`load_state`.
-        """
-        return {
-            "tags": self._tags.copy(),
-            "age": self._age.copy(),
-            "dirty": self._dirty.copy(),
-            "label": self._label.copy(),
-            "clock": self.clock,
-            "labels": list(self._labels),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`.
-
-        The snapshot must come from an engine with the same geometry.
-        """
-        if state["tags"].shape != self._tags.shape:
-            raise ValueError(
-                f"state shape {state['tags'].shape} does not match "
-                f"engine shape {self._tags.shape}"
-            )
-        self._tags[...] = state["tags"]
-        self._age[...] = state["age"]
-        self._dirty[...] = state["dirty"]
-        self._label[...] = state["label"]
-        self.clock = int(state["clock"])
-        self._labels = list(state["labels"])
-        self._label_ids = {name: i for i, name in enumerate(self._labels)}
-
-    def shard_state(self, shard: int, num_shards: int) -> dict:
-        """Snapshot only the sets owned by ``shard`` (round-robin split).
-
-        The sharded simulator partitions sets as ``set % num_shards``;
-        a worker replaying one shard only ever touches those rows, so
-        shipping ``1/num_shards`` of the state both ways is exact — and
-        ``num_shards``x cheaper than :meth:`state_dict`.  Restore with
-        :meth:`load_shard_state`.
-        """
-        rows = slice(shard, None, num_shards)
-        return {
-            "tags": np.ascontiguousarray(self._tags[rows]),
-            "age": np.ascontiguousarray(self._age[rows]),
-            "dirty": np.ascontiguousarray(self._dirty[rows]),
-            "label": np.ascontiguousarray(self._label[rows]),
-            "clock": self.clock,
-            "labels": list(self._labels),
-        }
-
-    def load_shard_state(
-        self, shard: int, num_shards: int, state: dict
-    ) -> None:
-        """Restore a snapshot taken by :meth:`shard_state`."""
-        rows = slice(shard, None, num_shards)
-        expected = self._tags[rows].shape
-        if state["tags"].shape != expected:
-            raise ValueError(
-                f"shard state shape {state['tags'].shape} does not match "
-                f"shard rows {expected}"
-            )
-        self._tags[rows] = state["tags"]
-        self._age[rows] = state["age"]
-        self._dirty[rows] = state["dirty"]
-        self._label[rows] = state["label"]
-        self.clock = int(state["clock"])
-        self._labels = list(state["labels"])
-        self._label_ids = {name: i for i, name in enumerate(self._labels)}
-
-    def state_diff(self, sets: np.ndarray) -> dict:
-        """Snapshot only the rows of ``sets`` (ascending set indices).
-
-        The replay kernel mutates exactly the sets its line stream
-        touches, so a worker that replayed one partition can ship back
-        ``state_diff(unique touched sets)`` instead of its whole shard
-        slice — typically a small fraction of the rows when the chunk is
-        smaller than the cache's set count.  Restore with
-        :meth:`apply_state_diff`; rows not in ``sets`` are untouched by
-        construction, so applying the diff reproduces the worker's full
-        state exactly.
-        """
-        sets = np.asarray(sets, dtype=np.int64)
-        return {
-            "sets": sets,
-            "tags": self._tags[sets],
-            "age": self._age[sets],
-            "dirty": self._dirty[sets],
-            "label": self._label[sets],
-            "clock": self.clock,
-            "labels": list(self._labels),
-        }
-
-    def apply_state_diff(self, diff: dict) -> None:
-        """Scatter a :meth:`state_diff` snapshot back into the state."""
-        sets = diff["sets"]
-        self._tags[sets] = diff["tags"]
-        self._age[sets] = diff["age"]
-        self._dirty[sets] = diff["dirty"]
-        self._label[sets] = diff["label"]
-        self.clock = int(diff["clock"])
-        self._labels = list(diff["labels"])
-        self._label_ids = {name: i for i, name in enumerate(self._labels)}
-
-    # ------------------------------------------------------------------
     # introspection (oracle-comparable)
     # ------------------------------------------------------------------
     def resident_lines(self) -> int:
@@ -349,7 +241,7 @@ class ArrayLRUEngine:
         """Replay expanded line touches, accumulating into ``stats``.
 
         Parameters mirror the output of
-        :func:`~repro.cachesim.simulator._expand_lines` plus the trace's
+        :func:`~repro.cachesim.expand._expand_lines` plus the trace's
         label table.  When ``collect_events`` is true, returns
         ``(steps, kinds, label_ids)`` arrays describing every eviction
         and insertion in chronological order (``steps`` are 1-based

@@ -15,8 +15,8 @@ here: dropping a reference perturbs the LRU state every later reference
 to the same set observes, so the surviving sample is replayed against a
 *wrong* cache and the bias is unbounded.  Cache sets, by contrast, are
 perfectly independent — a set's hits/misses/writebacks depend only on
-its own access subsequence (the same independence the sharded simulator
-is built on).  Filtering the expanded line stream to a subset of sets
+its own access subsequence (the same independence the array engine's
+per-set waves are built on).  Filtering the expanded line stream to a subset of sets
 and replaying it is therefore *exact* for every retained set; the only
 error is sampling error across sets, and that is quantifiable.
 

@@ -2,25 +2,16 @@
 
 The cache engines consume *expanded* streams: one entry per cache line
 an access touches (an access spanning k lines contributes k consecutive
-entries).  This module owns every flavour of that expansion:
+entries).  This module owns that expansion:
 
 * :func:`_expand_lines` — full expansion of a trace (the array engine's
   input format);
 * :func:`expanded_size` — the expanded length *without* materialising
-  the stream (what ``engine="auto"`` and the shard auto-tuner route on);
-* :func:`expand_shard` — worker-side expansion of one set-shard's
-  partition directly from the compact columns, bit-identical to
-  partitioning the full expansion (the zero-copy sharded path ships
-  compact columns over shared memory and expands in the workers, so
-  each shard pays only for its own slice);
-* :func:`shard_entry_counts` — exact per-shard expanded-entry counts,
-  again without expanding (how the parent decides which shards are live
-  before submitting any work).
+  the stream (what ``engine="auto"`` routes on);
+* :func:`set_index` — the cache set of each line, shared with the
+  set-sampling estimator.
 
-Everything here is pure numpy over the trace columns; keeping the
-variants in one module keeps the bit-identity contract between them
-auditable (``tests/cachesim/test_sharding.py`` asserts
-``expand_shard == partition_expanded(_expand_lines(...))`` exactly).
+Everything here is pure numpy over the trace columns.
 """
 
 from __future__ import annotations
@@ -33,13 +24,6 @@ def set_index(line_ids: np.ndarray, num_sets: int) -> np.ndarray:
     if num_sets & (num_sets - 1) == 0:
         return line_ids & (num_sets - 1)
     return line_ids % num_sets
-
-
-def shard_index(
-    line_ids: np.ndarray, num_sets: int, num_shards: int
-) -> np.ndarray:
-    """Round-robin shard owning each line's set."""
-    return set_index(line_ids, num_sets) % num_shards
 
 
 def _line_spans(
@@ -77,7 +61,7 @@ def expanded_size(trace, line_size: int) -> int:
 
     Exactly ``len(_expand_lines(trace, line_size)[0])``, at the cost of
     the span arithmetic only — this is what the deferred ``auto``
-    engine routing and the shard auto-tuner decide on.
+    engine routing decides on.
     """
     n = len(trace.addresses)
     if n == 0:
@@ -131,122 +115,4 @@ def _expand_lines(
     line_ids += positions - np.repeat(starts, spans)
     return line_ids, np.repeat(trace.is_write, spans), np.repeat(
         trace.label_ids, spans
-    )
-
-
-def shard_entry_counts(
-    addresses: np.ndarray,
-    sizes: np.ndarray,
-    line_size: int,
-    num_sets: int,
-    num_shards: int,
-) -> np.ndarray:
-    """Exact expanded-entry count per shard, without expanding.
-
-    Lets the parent find the *live* shards (and route single-live
-    partitions inline instead of spawning idle workers) from the
-    compact columns alone.
-    """
-    if len(addresses) == 0:
-        return np.zeros(num_shards, dtype=np.int64)
-    first, spans = _line_spans(addresses, sizes, line_size)
-    counts = np.bincount(
-        shard_index(first, num_sets, num_shards), minlength=num_shards
-    ).astype(np.int64)
-    if spans is None:
-        return counts
-    multi = spans > 1
-    extra_first = first[multi] + 1
-    extra_spans = spans[multi] - 1
-    if int(extra_spans.max()) == 1:
-        lines = extra_first
-    else:
-        total = int(extra_spans.sum())
-        starts = np.cumsum(extra_spans) - extra_spans
-        lines = np.repeat(extra_first, extra_spans)
-        lines += np.arange(total, dtype=np.int64) - np.repeat(
-            starts, extra_spans
-        )
-    counts += np.bincount(
-        shard_index(lines, num_sets, num_shards), minlength=num_shards
-    )
-    return counts
-
-
-def expand_shard(
-    addresses: np.ndarray,
-    sizes: np.ndarray,
-    is_write: np.ndarray,
-    label_ids: np.ndarray,
-    line_size: int,
-    num_sets: int,
-    num_shards: int,
-    shard: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Expand only ``shard``'s partition straight from compact columns.
-
-    Bit-identical to
-    ``partition_expanded(*_expand_lines(trace, line_size), ...)[shard]``:
-    returns ``(positions, line_ids, is_write, label_ids)`` where
-    ``positions`` are the entries' indices in the *full* expanded
-    stream (ascending).  This is what each worker runs against the
-    shared-memory columns, so no process ever pays for another shard's
-    expansion.
-    """
-    empty = (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=bool),
-        np.empty(0, dtype=np.int32),
-    )
-    n = len(addresses)
-    if n == 0:
-        return empty
-    first, spans = _line_spans(addresses, sizes, line_size)
-    if spans is None:
-        sel = shard_index(first, num_sets, num_shards) == shard
-        positions = np.flatnonzero(sel)
-        return (
-            positions,
-            first[positions],
-            is_write[positions],
-            label_ids[positions],
-        )
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(spans[:-1], out=starts[1:])
-    if int(spans.max()) == 2:
-        # First-line entries sit at each access's start slot, straddle
-        # second lines one past it; select each family by ownership and
-        # interleave back into global-position order.
-        straddle = spans == 2
-        own_first = shard_index(first, num_sets, num_shards) == shard
-        own_second = straddle & (
-            shard_index(first + 1, num_sets, num_shards) == shard
-        )
-        positions = np.concatenate(
-            [starts[own_first], starts[own_second] + 1]
-        )
-        line_ids = np.concatenate([first[own_first], first[own_second] + 1])
-        writes = np.concatenate([is_write[own_first], is_write[own_second]])
-        labels = np.concatenate([label_ids[own_first], label_ids[own_second]])
-        order = np.argsort(positions, kind="stable")
-        return (
-            positions[order],
-            line_ids[order],
-            writes[order],
-            labels[order],
-        )
-    # Rare wide-access case (span > 2): materialise the full expansion
-    # and filter — exact by construction, and the extra work is bounded
-    # by traces this pathological already being small.
-    total = int(spans.sum())
-    line_ids = np.repeat(first, spans)
-    positions = np.arange(total, dtype=np.int64)
-    line_ids += positions - np.repeat(starts, spans)
-    sel = shard_index(line_ids, num_sets, num_shards) == shard
-    return (
-        positions[sel],
-        line_ids[sel],
-        np.repeat(is_write, spans)[sel],
-        np.repeat(label_ids, spans)[sel],
     )

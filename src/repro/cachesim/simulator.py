@@ -24,8 +24,6 @@ kernel in ``BENCH_cachesim.json``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-
 import numpy as np
 
 from repro.cachesim.cache import SetAssociativeCache, _Line
@@ -39,26 +37,9 @@ from repro.cachesim.engine import (
     CacheEngineError,
     check_engine,
 )
-from repro.cachesim.expand import _expand_lines, expanded_size  # noqa: F401
-from repro.cachesim.pool import effective_cpus
-from repro.cachesim.sharding import ShardedLRUSimulator, auto_shard_plan
+from repro.cachesim.expand import _expand_lines, expanded_size
 from repro.cachesim.stats import CacheStats
 from repro.trace.reference import ReferenceTrace
-
-# _expand_lines lives in repro.cachesim.expand (the sharded workers need
-# it without importing this module); re-exported here because the tests
-# and the bench harness historically import it from the simulator.
-
-
-def _parallelism_arg(value, name: str):
-    """Validate a ``shards``/``jobs`` argument: ``"auto"`` or int >= 1."""
-    if value == "auto":
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be 'auto' or an int >= 1, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
 
 
 class CacheSimulator:
@@ -93,25 +74,14 @@ class CacheSimulator:
         Array-engine in-chunk replay strategy (``"adaptive"``/``"wave"``/
         ``"scalar"``); all three are bit-identical, ``"adaptive"``
         picks per chunk on estimated throughput.
-    shards:
-        ``"auto"`` (default) or a set-index shard count.  ``K > 1``
-        partitions the line stream by set index and replays each shard
-        through its own array engine — bit-identical merged results
-        (see :mod:`repro.cachesim.sharding`); requires the LRU policy
-        and the array engine.  ``"auto"`` defers to the first
-        :meth:`run` and asks
-        :func:`~repro.cachesim.sharding.auto_shard_plan` whether the
-        trace is big enough (and the machine parallel enough) for
-        sharding to win; on one CPU it never shards.
-    jobs:
-        Worker processes for sharded replay.  ``"auto"`` (default)
-        follows the shard plan (one process per shard, never more than
-        visible CPUs); ``1`` replays shards inline in this process.
     auto_min_refs:
         Expanded-trace size at which ``engine="auto"`` picks the array
         engine (default
         :data:`~repro.cachesim.engine.AUTO_ARRAY_MIN_REFS`).
     """
+
+    #: Replay runs in one in-process engine; kept for run reporters.
+    shards = 1
 
     def __init__(
         self,
@@ -122,8 +92,6 @@ class CacheSimulator:
         engine: str = "auto",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         strategy: str = "adaptive",
-        shards: int | str = "auto",
-        jobs: int | str = "auto",
         auto_min_refs: int = AUTO_ARRAY_MIN_REFS,
     ):
         if policy not in SetAssociativeCache.POLICIES:
@@ -131,8 +99,6 @@ class CacheSimulator:
                 f"policy must be one of {SetAssociativeCache.POLICIES}, "
                 f"got {policy!r}"
             )
-        shards = _parallelism_arg(shards, "shards")
-        jobs = _parallelism_arg(jobs, "jobs")
         # Engine construction may be deferred to the first run; fail
         # bad engine parameters at construction time regardless.
         if chunk_size < 1:
@@ -147,60 +113,22 @@ class CacheSimulator:
         self._chunk_size = chunk_size
         self._strategy = strategy
         self._auto_min_refs = int(auto_min_refs)
-        #: Resolved shard/worker counts; hold the requested values
-        #: (possibly ``"auto"``) until the first run pins them.
-        self.shards = shards
-        self.jobs = jobs
         resolved = check_engine(engine, policy)
         self._stats = CacheStats()
         #: The dict-based oracle; ``None`` under the array engine.
         self.cache: SetAssociativeCache | None = None
-        self._array: ArrayLRUEngine | ShardedLRUSimulator | None = None
-        if isinstance(shards, int) and shards > 1:
-            # Explicit shard count: construct eagerly (callers rely on
-            # introspecting the sharded engine before the first run).
-            # Sharded replay rides on the array engine's set
-            # independence; the oracle path cannot be partitioned.
-            if policy != "lru":
-                raise CacheEngineError(
-                    f"sharded simulation requires the LRU policy, "
-                    f"got policy={policy!r}"
-                )
-            if resolved != "array":
-                raise CacheEngineError(
-                    "sharded simulation (shards > 1) requires the array "
-                    "engine; drop engine='reference' or use shards=1"
-                )
-            self.engine = "array"
-            self.jobs = (
-                jobs if isinstance(jobs, int)
-                else max(1, min(shards, effective_cpus()))
-            )
-            self._array = ShardedLRUSimulator(
-                geometry,
-                shards,
-                jobs=self.jobs,
-                chunk_size=chunk_size,
-                strategy=strategy,
-            )
-            self.shards = self._array.num_shards
-        elif engine == "auto" and policy == "lru":
-            # Deferred: engine and shard plan routed by expanded-trace
-            # size at the first run.
+        self._array: ArrayLRUEngine | None = None
+        if engine == "auto" and policy == "lru":
+            # Deferred: the engine is routed by expanded-trace size at
+            # the first run.
             self.engine = "auto"
         elif resolved == "array":
             self.engine = "array"
-            if shards == "auto":
-                # Engine known, shard plan deferred to the first run.
-                pass
-            else:
-                self.shards, self.jobs = 1, 1
-                self._array = ArrayLRUEngine(
-                    geometry, chunk_size=chunk_size, strategy=strategy
-                )
+            self._array = ArrayLRUEngine(
+                geometry, chunk_size=chunk_size, strategy=strategy
+            )
         else:
             self.engine = "reference"
-            self.shards, self.jobs = 1, 1
             self.cache = SetAssociativeCache(
                 geometry, stats=self._stats, policy=policy, seed=seed
             )
@@ -268,74 +196,37 @@ class CacheSimulator:
         return self.cache.resident_lines_for(label)
 
     # -- trace replay ----------------------------------------------------
-    def _plan_sharding(self, n_refs: int) -> tuple[int, int]:
-        """Pin the deferred shard/worker counts for an array run.
-
-        Only reached with ``shards`` still ``"auto"`` or ``1`` (explicit
-        ``shards > 1`` constructs eagerly in ``__init__``).
-        """
-        if self.shards == "auto":
-            shards, jobs = auto_shard_plan(n_refs, self.geometry.num_sets)
-            if isinstance(self.jobs, int):
-                jobs = max(1, min(self.jobs, shards))
-            if shards > 1 and jobs > 1:
-                return shards, jobs
-            # An explicit jobs=1 (or a plan of one shard) means inline
-            # sharding, which buys nothing over the plain engine.
-        return 1, 1
-
     def _resolve(self, trace: ReferenceTrace, streaming: bool = False) -> None:
-        """Pin deferred ``"auto"`` choices from the first trace's size.
+        """Pin a deferred ``engine="auto"`` from the first trace's size.
 
         The array engine's batching overhead loses to the dict oracle
         below :data:`~repro.cachesim.engine.AUTO_ARRAY_MIN_REFS`
-        expanded touches, and sharding only wins past
-        :data:`~repro.cachesim.sharding.SHARD_AUTO_MIN_REFS` with spare
-        CPUs (:func:`~repro.cachesim.sharding.auto_shard_plan`).  The
-        expanded size comes from span arithmetic — nothing is
-        materialised here.  The first run's size decides, and the
-        choice then stays fixed for the simulator's lifetime
+        expanded touches.  The expanded size comes from span arithmetic
+        — nothing is materialised here.  The first run's size decides,
+        and the choice then stays fixed for the simulator's lifetime
         (warm-cache multi-run callers keep one state).
 
         Under ``streaming`` the first *chunk*'s size says nothing about
-        the stream's total, so the auto routes flip to the big-trace
-        answers instead: ``engine="auto"`` picks the array engine
-        (callers stream precisely because the trace is large), and
-        ``shards="auto"`` stays at one shard (an explicit ``shards=K``
-        was constructed eagerly and is honoured per chunk).
+        the stream's total, so ``engine="auto"`` picks the array engine
+        (callers stream precisely because the trace is large).
         """
-        if streaming and self.engine == "auto":
+        if streaming or (
+            expanded_size(trace, self.geometry.line_size)
+            >= self._auto_min_refs
+        ):
             self.engine = "array"
-        n_refs = expanded_size(trace, self.geometry.line_size)
-        if self.engine == "auto":
-            if n_refs < self._auto_min_refs:
-                self.engine = "reference"
-                self.shards, self.jobs = 1, 1
-                self.cache = SetAssociativeCache(
-                    self.geometry,
-                    stats=self._stats,
-                    policy=self.policy,
-                    seed=self._seed,
-                )
-                return
-            self.engine = "array"
-        if streaming:
-            self.shards, self.jobs = 1, 1
-        else:
-            self.shards, self.jobs = self._plan_sharding(n_refs)
-        if self.shards > 1:
-            self._array = ShardedLRUSimulator(
-                self.geometry,
-                self.shards,
-                jobs=self.jobs,
-                chunk_size=self._chunk_size,
-                strategy=self._strategy,
-            )
-        else:
             self._array = ArrayLRUEngine(
                 self.geometry,
                 chunk_size=self._chunk_size,
                 strategy=self._strategy,
+            )
+        else:
+            self.engine = "reference"
+            self.cache = SetAssociativeCache(
+                self.geometry,
+                stats=self._stats,
+                policy=self.policy,
+                seed=self._seed,
             )
 
     def run(self, trace) -> CacheStats:
@@ -361,8 +252,7 @@ class CacheSimulator:
         choices resolve with streaming semantics (see :meth:`_resolve`):
         a small first chunk must not route a billion-reference stream
         onto the dict oracle.  Use this as the ``sink=`` of a streaming
-        :class:`~repro.trace.recorder.TraceRecorder`, ideally inside
-        :meth:`stream_scope`.
+        :class:`~repro.trace.recorder.TraceRecorder`.
         """
         if self._array is None and self.cache is None:
             self._resolve(chunk, streaming=True)
@@ -379,31 +269,12 @@ class CacheSimulator:
         elementwise and the engines already replay in bounded batches
         with persistent state.
         """
-        with self.stream_scope():
-            for chunk in chunks:
-                self.run_chunk(chunk)
+        for chunk in chunks:
+            self.run_chunk(chunk)
         return self._stats
-
-    @contextmanager
-    def stream_scope(self):
-        """Context for a run of :meth:`run_chunk` calls.
-
-        With an explicit ``shards=K`` the sharded engine reuses one
-        shared-memory ring across the scope's chunks instead of
-        allocating a block per chunk; otherwise this is a no-op.
-        """
-        ctx = (
-            self._array.stream_scope()
-            if isinstance(self._array, ShardedLRUSimulator)
-            else nullcontext()
-        )
-        with ctx:
-            yield self
 
     def _dispatch(self, trace: ReferenceTrace) -> CacheStats:
         """Route one resolved trace/chunk to the active engine."""
-        if isinstance(self._array, ShardedLRUSimulator):
-            return self._run_sharded(trace)
         line_ids, writes, label_ids = _expand_lines(
             trace, self.geometry.line_size
         )
@@ -455,23 +326,6 @@ class CacheSimulator:
             trace.labels,
             self._stats,
             collect_events=self.track_residency,
-        )
-        if self.track_residency:
-            self._apply_events(events, engine.label_name, engine.clock)
-        return self._stats
-
-    def _run_sharded(self, trace: ReferenceTrace) -> CacheStats:
-        """Sharded replay from the compact trace.
-
-        The sharded simulator owns expansion (worker-side on the pooled
-        path), so this never materialises the full expanded stream in
-        the parent when worker processes are in play.
-        """
-        engine = self._array
-        for name in trace.labels:
-            self._stats.label(name)
-        events = engine.replay_trace(
-            trace, self._stats, collect_events=self.track_residency
         )
         if self.track_residency:
             self._apply_events(events, engine.label_name, engine.clock)
@@ -543,8 +397,6 @@ def simulate_trace(
     flush_at_end: bool = False,
     policy: str = "lru",
     engine: str = "auto",
-    shards: int | str = "auto",
-    jobs: int | str = "auto",
     mode: str = "exact",
     estimate_options: dict | None = None,
 ):
@@ -587,9 +439,7 @@ def simulate_trace(
         )
     if estimate_options is not None:
         raise ValueError("estimate_options only applies to mode='estimate'")
-    sim = CacheSimulator(
-        geometry, policy=policy, engine=engine, shards=shards, jobs=jobs
-    )
+    sim = CacheSimulator(geometry, policy=policy, engine=engine)
     sim.run(trace)
     if flush_at_end:
         sim.flush()

@@ -42,12 +42,6 @@ class AnalyzerConfig:
         Cache-simulation engine for the ground-truth path
         (``"auto"``/``"array"``/``"reference"``); statistics are
         bit-identical either way for LRU.
-    jobs / shards:
-        Set-sharded (parallel) simulation for the ground-truth path.
-        The defaults (``"auto"``) let the tuner shard big traces on
-        multi-core hosts and stay single-process everywhere else;
-        explicit ints pin the counts.  Results stay bit-identical
-        either way (see :mod:`repro.cachesim.sharding`).
     trace_cache:
         Optional :class:`~repro.trace.cache.TraceCache` (or cache
         directory path) reusing persisted kernel traces across
@@ -75,8 +69,6 @@ class AnalyzerConfig:
     flops_rate: float = 2.0e9
     bandwidth: float = 12.8e9
     engine: str = "auto"
-    jobs: int | str = "auto"
-    shards: int | str = "auto"
     trace_cache: object = None
     chunk_refs: int | None = None
     sim_mode: str = "exact"
@@ -169,8 +161,6 @@ class DVFAnalyzer:
             workload,
             self.config.geometry,
             engine=self.config.engine,
-            shards=self.config.shards,
-            jobs=self.config.jobs,
             trace_cache=self.config.trace_cache,
             chunk_refs=self.config.chunk_refs,
             sim_mode=self.config.sim_mode,

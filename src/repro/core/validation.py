@@ -73,8 +73,6 @@ def ground_truth_stats(
     workload: Workload,
     geometry: CacheGeometry,
     engine: str = "auto",
-    shards: int | str = "auto",
-    jobs: int | str = "auto",
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",
@@ -110,11 +108,8 @@ def ground_truth_stats(
             estimator = TraceEstimator(geometry, **(estimate_options or {}))
             kernel.trace_stream(workload, chunk_refs, estimator.consume)
             return estimator.finish()
-        sim = CacheSimulator(
-            geometry, engine=engine, shards=shards, jobs=jobs
-        )
-        with sim.stream_scope():
-            kernel.trace_stream(workload, chunk_refs, sim.run_chunk)
+        sim = CacheSimulator(geometry, engine=engine)
+        kernel.trace_stream(workload, chunk_refs, sim.run_chunk)
         return sim.stats
     trace = kernel.trace(workload, cache=trace_cache)
     source = (
@@ -124,8 +119,6 @@ def ground_truth_stats(
         source,
         geometry,
         engine=engine,
-        shards=shards,
-        jobs=jobs,
         mode=sim_mode,
         estimate_options=estimate_options,
     )
@@ -138,8 +131,6 @@ def validate_kernel(
     mode: str = "strict",
     sink: DiagnosticSink | None = None,
     engine: str = "auto",
-    jobs: int | str = "auto",
-    shards: int | str = "auto",
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",
@@ -152,14 +143,12 @@ def validate_kernel(
     ``sink``) so a validation sweep completes.  The simulation path is
     ground truth and always raises on failure.  ``engine`` selects the
     cache-simulation engine (``"auto"``/``"array"``/``"reference"``);
-    both produce bit-identical statistics for LRU.  ``shards``/``jobs``
-    control set-sharded (parallel) simulation — the ``"auto"`` defaults
-    shard only when the tuner predicts a win — and ``trace_cache`` — a
+    both produce bit-identical statistics for LRU.  ``trace_cache`` — a
     :class:`~repro.trace.cache.TraceCache` or cache-directory path —
-    reuses persisted traces across calls; all three preserve
-    bit-identical results.  The reported ``simulation_seconds`` covers
-    trace acquisition (cached or collected) plus simulation, so a warm
-    trace cache shows up in the measured cost ratio.
+    reuses persisted traces across calls, again bit-identically.  The
+    reported ``simulation_seconds`` covers trace acquisition (cached or
+    collected) plus simulation, so a warm trace cache shows up in the
+    measured cost ratio.
 
     ``chunk_refs`` streams the trace in fixed-size chunks: with no
     ``trace_cache`` the kernel records straight into the simulator
@@ -189,8 +178,6 @@ def validate_kernel(
         workload,
         geometry,
         engine=engine,
-        shards=shards,
-        jobs=jobs,
         trace_cache=trace_cache,
         chunk_refs=chunk_refs,
         sim_mode=sim_mode,

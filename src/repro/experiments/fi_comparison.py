@@ -67,7 +67,6 @@ def run_fi_comparison(
     timeout: float | None = None,
     checkpoint_dir: str | Path | None = None,
     engine: str = "auto",
-    shards: int | str = "auto",
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",
@@ -80,10 +79,9 @@ def run_fi_comparison(
     campaign to ``<dir>/<kernel>.jsonl`` and resumes from any journal
     already there, so an interrupted comparison re-runs only what is
     missing.  On Ctrl-C the completed rows are returned (the current
-    campaign having flushed its checkpoint first).  ``engine`` and
-    ``shards`` select the cache-simulation engine and sharding used by
-    any simulated evaluation (``shards="auto"`` lets the tuner decide),
-    and ``trace_cache`` lets those evaluations reuse traces persisted
+    campaign having flushed its checkpoint first).  ``engine`` selects
+    the cache-simulation engine used by any simulated evaluation, and
+    ``trace_cache`` lets those evaluations reuse traces persisted
     by a fig4 run over the same workloads.  ``chunk_refs``/``sim_mode``/
     ``estimate_options`` carry the streaming/estimator knobs into those
     simulated evaluations (see :class:`~repro.core.analyzer.AnalyzerConfig`).
@@ -92,7 +90,6 @@ def run_fi_comparison(
         AnalyzerConfig(
             geometry=PAPER_CACHES["8MB"],
             engine=engine,
-            shards=shards,
             trace_cache=trace_cache,
             chunk_refs=chunk_refs,
             sim_mode=sim_mode,

@@ -40,8 +40,6 @@ def run_fig4(
     kernels: tuple[str, ...] = KERNEL_ORDER,
     caches: dict | None = None,
     engine: str = "auto",
-    jobs: int | str = "auto",
-    shards: int | str = "auto",
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",
@@ -53,9 +51,8 @@ def run_fig4(
     path (statistics are bit-identical between engines for LRU).
     ``trace_cache`` (a :class:`~repro.trace.cache.TraceCache` or cache
     directory path) collects each kernel's trace once per workload
-    instead of once per cache cell — the sweep's dominant cost;
-    ``shards``/``jobs`` parallelise the simulation itself.  None of the
-    three changes any reported number.  ``chunk_refs`` streams each
+    instead of once per cache cell — the sweep's dominant cost.
+    Neither changes any reported number.  ``chunk_refs`` streams each
     trace through the simulator in O(chunk) memory (bit-identical as
     well); ``sim_mode="estimate"`` swaps exact replay for the
     cluster-sampling estimator, populating ``simulated_halfwidth``.
@@ -74,8 +71,6 @@ def run_fig4(
                 workloads[kernel_name],
                 geometry,
                 engine=engine,
-                jobs=jobs,
-                shards=shards,
                 trace_cache=trace_cache,
                 chunk_refs=chunk_refs,
                 sim_mode=sim_mode,

@@ -45,8 +45,6 @@ def run_fig5(
     caches: dict | None = None,
     fit: float = DEFAULT_FIT,
     engine: str = "auto",
-    jobs: int | str = "auto",
-    shards: int | str = "auto",
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",
@@ -54,7 +52,7 @@ def run_fig5(
 ) -> list[Fig5Cell]:
     """Regenerate the Figure 5 data series (analytical path only).
 
-    ``engine``/``jobs``/``shards``/``trace_cache`` — and the streaming
+    ``engine``/``trace_cache`` — and the streaming
     knobs ``chunk_refs``/``sim_mode``/``estimate_options`` — are
     carried in the analyzer config for any simulated cross-checks
     callers run alongside the analytical sweep.
@@ -68,8 +66,6 @@ def run_fig5(
                 geometry=geometry,
                 fit=fit,
                 engine=engine,
-                jobs=jobs,
-                shards=shards,
                 trace_cache=trace_cache,
                 chunk_refs=chunk_refs,
                 sim_mode=sim_mode,

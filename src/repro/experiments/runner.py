@@ -40,32 +40,6 @@ EXIT_CHECKPOINT_MISMATCH = 3
 EXIT_CHECKPOINT_CORRUPT = 4
 
 
-def _shards_flag(value: str):
-    """``--shards`` argparse type: ``auto`` or an int shard count."""
-    if value == "auto":
-        return "auto"
-    return int(value)
-
-
-def _sim_parallelism(args) -> tuple:
-    """(jobs, shards) for sharded simulation from the CLI flags.
-
-    Both default to ``auto``: the tuner shards big traces on multi-core
-    hosts and runs single-process everywhere else.  An explicit
-    ``--jobs N`` without ``--shards`` keeps the historical behaviour of
-    an N-shard, N-worker simulation; results are bit-identical at any
-    combination.
-    """
-    jobs = args.jobs if args.jobs is not None else "auto"
-    if args.shards is not None:
-        shards = args.shards
-    elif isinstance(jobs, int):
-        shards = jobs
-    else:
-        shards = "auto"
-    return jobs, shards
-
-
 def _streaming_knobs(args) -> dict:
     """chunk_refs/sim_mode/estimate_options kwargs from the CLI flags."""
     knobs: dict = {
@@ -82,13 +56,10 @@ def _streaming_knobs(args) -> dict:
 def _fig4(args) -> str:
     from repro.experiments.fig4_verification import render_fig4, run_fig4
 
-    jobs, shards = _sim_parallelism(args)
     return render_fig4(
         run_fig4(
             tier=args.tier,
             engine=args.engine,
-            jobs=jobs,
-            shards=shards,
             trace_cache=args.trace_cache,
             **_streaming_knobs(args),
         )
@@ -99,13 +70,10 @@ def _fig5(args) -> str:
     from repro.experiments.fig5_profiling import render_fig5, run_fig5
 
     tier = args.tier if args.tier != "verification" else "profiling"
-    jobs, shards = _sim_parallelism(args)
     return render_fig5(
         run_fig5(
             tier=tier,
             engine=args.engine,
-            jobs=jobs,
-            shards=shards,
             trace_cache=args.trace_cache,
             **_streaming_knobs(args),
         )
@@ -148,7 +116,6 @@ def _fi(args) -> str:
             timeout=args.timeout,
             checkpoint_dir=args.resume,
             engine=args.engine,
-            shards=args.shards if args.shards is not None else "auto",
             trace_cache=args.trace_cache,
             **_streaming_knobs(args),
         )
@@ -220,20 +187,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes: fi runs trials in a crash-isolated pool "
-        "of N workers (a crashing trial counts as CRASH instead of "
-        "aborting the campaign); fig4/fig5 replay N set-shards of the "
-        "cache simulation in parallel (bit-identical results)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=_shards_flag,
-        default=None,
-        metavar="K|auto",
-        help="fig4/fig5/fi: split the cache simulation into K set-index "
-        "shards, or 'auto' to let the tuner pick from trace size and "
-        "CPU count (default: the --jobs count if given, else auto); "
-        "any choice gives bit-identical statistics",
+        help="fi only: run trials in a crash-isolated pool of N "
+        "worker processes (a crashing trial counts as CRASH instead of "
+        "aborting the campaign)",
     )
     parser.add_argument(
         "--trace-cache",
@@ -303,6 +259,11 @@ def main(argv: list[str] | None = None) -> int:
         "bound and reports coded diagnostics (aspen batch)",
     )
     args = parser.parse_args(argv)
+    if args.jobs is not None and args.experiment not in ("fi", "all"):
+        parser.error(
+            f"--jobs sets fault-injection trial workers and applies to "
+            f"fi only, not {args.experiment}"
+        )
     from repro.faultinject.errors import CheckpointCorrupt, CheckpointMismatch
 
     names = sorted(_COMMANDS) if args.experiment == "all" else [args.experiment]

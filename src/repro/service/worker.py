@@ -147,17 +147,14 @@ def _run_kernel(spec: JobSpec, degraded: bool) -> dict:
         )
     if degraded:
         # Degraded mode is the circuit breaker's safe path: the
-        # reference engine cannot shard, a struggling worker should
-        # not fork a simulation pool of its own, and exact replay
+        # reference engine is the trusted oracle, and exact replay
         # avoids the estimator's scipy dependency surface.  Streaming
         # chunk replay stays available — its whole point is a smaller
         # memory footprint, the likeliest reason the fast path died.
-        engine, shards, jobs = "reference", 1, 1
+        engine = "reference"
         sim_mode, estimate_options = "exact", None
     else:
         engine = str(options.get("engine", "auto"))
-        shards = options.get("shards", "auto")
-        jobs = options.get("jobs", "auto")
         sim_mode = "estimate" if options.get("estimate") else "exact"
         estimate_options = (
             dict(options["estimate_options"])
@@ -171,8 +168,6 @@ def _run_kernel(spec: JobSpec, degraded: bool) -> dict:
         AnalyzerConfig(
             geometry=PAPER_CACHES[geometry_key],
             engine=engine,
-            shards=shards,
-            jobs=jobs,
             chunk_refs=chunk_refs,
             sim_mode=sim_mode,
             estimate_options=estimate_options,
@@ -180,7 +175,7 @@ def _run_kernel(spec: JobSpec, degraded: bool) -> dict:
     )
     if options.get("simulated"):
         # Ground-truth path: N_ha from the cache simulator (this is
-        # where engine/shards/jobs actually bite).
+        # where the engine choice actually bites).
         report = analyzer.analyze_simulated(kernel, workload)
     else:
         report = analyzer.analyze(kernel, workload)

@@ -11,18 +11,11 @@ any trace read.  Archives written before schema 2 stored labels as an
 object array; :func:`load_trace` still reads those (transparently
 falling back to a pickled-label load for that one column), but new
 archives are always pickle-free.
-
-This module also owns the *in-memory* zero-copy transport used by the
-sharded simulator: :func:`trace_to_shm` packs the four columns into one
-``multiprocessing.shared_memory`` block and :func:`attach_trace_shm`
-maps them back in a worker process — only a tiny name/length descriptor
-ever crosses the process boundary.
 """
 
 from __future__ import annotations
 
 import os
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -74,151 +67,3 @@ def load_trace(path: str | os.PathLike) -> ReferenceTrace:
             archive["label_ids"],
             _load_labels(path, archive),
         )
-
-
-# ---------------------------------------------------------------------------
-# shared-memory transport (sharded simulation)
-# ---------------------------------------------------------------------------
-# One block holds all four columns back to back, int32 before bool so
-# every column starts on its natural alignment:
-#
-#   offset 0    addresses  int64  8n bytes
-#   offset 8n   sizes      int64  8n bytes
-#   offset 16n  label_ids  int32  4n bytes
-#   offset 20n  is_write   bool    n bytes
-#
-# 21 bytes per reference, versus ~41+ for the pickled *expanded* stream
-# the PR-4 pool shipped per shard.
-_SHM_BYTES_PER_REF = 21
-
-
-def trace_shm_bytes(n: int) -> int:
-    """Size in bytes of the shared block holding an ``n``-reference trace."""
-    return _SHM_BYTES_PER_REF * n
-
-
-def _shm_columns(
-    buf, n: int, capacity: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Column views over a block sized for ``capacity`` refs, first ``n`` used.
-
-    Column offsets are laid out for ``capacity`` references (defaulting
-    to ``n``) so a reusable ring block can carry chunks shorter than its
-    capacity without repacking offsets.
-    """
-    cap = n if capacity is None else capacity
-    addresses = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=0)
-    sizes = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=8 * cap)
-    label_ids = np.ndarray((n,), dtype=np.int32, buffer=buf, offset=16 * cap)
-    is_write = np.ndarray((n,), dtype=np.bool_, buffer=buf, offset=20 * cap)
-    return addresses, sizes, is_write, label_ids
-
-
-def trace_to_shm(
-    trace: ReferenceTrace,
-) -> tuple[shared_memory.SharedMemory, dict]:
-    """Pack the compact trace columns into one shared-memory block.
-
-    Returns ``(shm, descriptor)``.  The descriptor (name + length) is
-    all a worker needs for :func:`attach_trace_shm`; the creator must
-    ``shm.close()`` and ``shm.unlink()`` when every consumer is done
-    (the sharded simulator does both in a ``finally`` so the block is
-    released even if a worker crashes mid-replay).
-    """
-    n = len(trace.addresses)
-    if n == 0:
-        raise ValueError("cannot pack an empty trace into shared memory")
-    shm = shared_memory.SharedMemory(create=True, size=trace_shm_bytes(n))
-    addresses, sizes, is_write, label_ids = _shm_columns(shm.buf, n)
-    addresses[:] = trace.addresses
-    sizes[:] = trace.sizes
-    is_write[:] = trace.is_write
-    label_ids[:] = trace.label_ids
-    del addresses, sizes, is_write, label_ids
-    return shm, {"name": shm.name, "n": n}
-
-
-def attach_trace_shm(
-    descriptor: dict,
-) -> tuple[
-    shared_memory.SharedMemory,
-    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-]:
-    """Map a block created by :func:`trace_to_shm` in this process.
-
-    Returns ``(shm, (addresses, sizes, is_write, label_ids))`` — the
-    arrays are zero-copy views into the block.  The caller must drop
-    every view (and anything derived from ``shm.buf``) before
-    ``shm.close()``, or CPython refuses to release the mapping.
-
-    No resource-tracker workaround is needed here: pool workers share
-    the parent's resource tracker (fd inherited under both fork and
-    spawn), where REGISTER entries are a set keyed by name — the
-    creator's registration and any attacher's collapse into one entry,
-    removed exactly once by the creator's ``unlink()``.
-    """
-    shm = shared_memory.SharedMemory(name=descriptor["name"])
-    return shm, _shm_columns(
-        shm.buf, descriptor["n"], descriptor.get("cap")
-    )
-
-
-class TraceShmRing:
-    """A reusable shared-memory block for streaming chunked traces.
-
-    :func:`trace_to_shm` allocates (and unlinks) one block per replay
-    call — fine for a monolithic trace, wasteful when a stream replays
-    thousands of fixed-size chunks.  The ring allocates one block sized
-    for the largest chunk and repacks each chunk in place; workers
-    attach through the same descriptor protocol (``cap`` pins the
-    column offsets to the ring's capacity while ``n`` is the current
-    chunk's length).
-
-    Reuse is safe because the sharded replay protocol is synchronous
-    per chunk: every worker future is resolved before the next chunk is
-    packed, so no consumer can observe a half-overwritten block.  The
-    owner must :meth:`close` and :meth:`unlink` when the stream ends.
-    """
-
-    def __init__(self, capacity_refs: int):
-        if capacity_refs < 1:
-            raise ValueError(
-                f"capacity_refs must be >= 1, got {capacity_refs}"
-            )
-        self.capacity = int(capacity_refs)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=trace_shm_bytes(self.capacity)
-        )
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def nbytes(self) -> int:
-        return self._shm.size
-
-    def pack(self, trace: ReferenceTrace) -> dict:
-        """Copy ``trace``'s columns into the block; returns a descriptor."""
-        n = len(trace.addresses)
-        if n == 0:
-            raise ValueError("cannot pack an empty trace into the ring")
-        if n > self.capacity:
-            raise ValueError(
-                f"chunk of {n} refs exceeds ring capacity {self.capacity}"
-            )
-        addresses, sizes, is_write, label_ids = _shm_columns(
-            self._shm.buf, n, self.capacity
-        )
-        addresses[:] = trace.addresses
-        sizes[:] = trace.sizes
-        is_write[:] = trace.is_write
-        label_ids[:] = trace.label_ids
-        del addresses, sizes, is_write, label_ids
-        return {"name": self._shm.name, "n": n, "cap": self.capacity}
-
-    def close(self) -> None:
-        self._shm.close()
-
-    def unlink(self) -> None:
-        self._shm.unlink()

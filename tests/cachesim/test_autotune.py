@@ -1,152 +1,25 @@
-"""Auto-tuner routing: the ``shards``/``jobs`` decision table.
+"""Auto routing of ``engine="auto"`` in :class:`~repro.cachesim.CacheSimulator`.
 
-``shards="auto"`` (the default everywhere) must shard only when it can
-win: never on one visible CPU, never below ``SHARD_AUTO_MIN_REFS``
-expanded references, never wider than the trace can keep busy
-(``SHARD_REFS_PER_WORKER`` refs per worker) or than CPUs/sets allow.
-These tests pin the table for :func:`repro.cachesim.auto_shard_plan`
-and the :class:`~repro.cachesim.CacheSimulator` routing built on it
-(CPU counts are mocked; thresholds are shrunk so small traces exercise
-the real sharded machinery).
+With every knob left at its default, a trace too small to amortise the
+array engine's setup must stay on the reference engine, replayed in one
+in-process engine.
 """
 
 import numpy as np
-import pytest
 
-import repro.cachesim.sharding as sharding
-import repro.cachesim.simulator as simulator
-from repro.cachesim import (
-    CacheGeometry,
-    CacheSimulator,
-    ShardedLRUSimulator,
-    auto_shard_plan,
-    simulate_trace,
-)
-from repro.cachesim.engine import ArrayLRUEngine
+from repro.cachesim import CacheGeometry, CacheSimulator
 
-from test_engine_differential import assert_identical, random_trace
+from test_engine_differential import random_trace
 
 GEOMETRY = CacheGeometry(4, 64, 32)
 
-#: (expanded_refs, cpus) -> (shards, jobs) with plenty of sets (4096).
-DECISION_TABLE = [
-    (10_000, 1, (1, 1)),
-    (10_000, 2, (1, 1)),
-    (10_000, 8, (1, 1)),
-    (100_000, 1, (1, 1)),
-    (100_000, 2, (1, 1)),
-    (100_000, 8, (1, 1)),
-    (1_000_000, 1, (1, 1)),
-    (1_000_000, 2, (2, 2)),
-    (1_000_000, 8, (2, 2)),  # 1M refs keeps only 2 workers busy
-    (10_000_000, 1, (1, 1)),
-    (10_000_000, 2, (2, 2)),
-    (10_000_000, 8, (8, 8)),
-]
-
-
-class TestAutoShardPlan:
-    @pytest.mark.parametrize(("refs", "cpus", "plan"), DECISION_TABLE)
-    def test_decision_table(self, refs, cpus, plan):
-        assert auto_shard_plan(refs, 4096, cpus=cpus) == plan
-
-    @pytest.mark.parametrize("refs", [10**6, 10**7, 10**9])
-    def test_one_cpu_never_shards(self, refs):
-        assert auto_shard_plan(refs, 4096, cpus=1) == (1, 1)
-
-    def test_plan_clamped_by_num_sets(self):
-        assert auto_shard_plan(10**7, 4, cpus=8) == (4, 4)
-        assert auto_shard_plan(10**7, 1, cpus=8) == (1, 1)
-
-    def test_default_cpus_is_affinity_aware(self, monkeypatch):
-        monkeypatch.setattr(sharding, "effective_cpus", lambda: 8)
-        assert auto_shard_plan(10**7, 4096) == (8, 8)
-
 
 class TestSimulatorRouting:
-    """``CacheSimulator`` resolution of the deferred ``"auto"`` knobs."""
-
-    def _tune(self, monkeypatch, cpus, min_refs=500, per_worker=250):
-        monkeypatch.setattr(sharding, "effective_cpus", lambda: cpus)
-        monkeypatch.setattr(simulator, "effective_cpus", lambda: cpus)
-        monkeypatch.setattr(sharding, "SHARD_AUTO_MIN_REFS", min_refs)
-        monkeypatch.setattr(sharding, "SHARD_REFS_PER_WORKER", per_worker)
-
-    def test_auto_shards_on_multicore(self, monkeypatch):
-        self._tune(monkeypatch, cpus=2)
-        trace = random_trace(np.random.default_rng(5), n=1200)
-        base = CacheSimulator(
-            GEOMETRY, track_residency=True, engine="array", shards=1, jobs=1
-        )
-        sim = CacheSimulator(GEOMETRY, track_residency=True, engine="array")
-        base.run(trace)
-        sim.run(trace)
-        assert isinstance(sim._array, ShardedLRUSimulator)
-        assert (sim.shards, sim.jobs) == (2, 2)
-        assert_identical(sim, base, trace.labels)
-
-    def test_one_cpu_stays_single_shard(self, monkeypatch):
-        self._tune(monkeypatch, cpus=1)
-        sim = CacheSimulator(GEOMETRY, engine="array")
-        sim.run(random_trace(np.random.default_rng(7), n=1200))
-        assert isinstance(sim._array, ArrayLRUEngine)
-        assert (sim.shards, sim.jobs) == (1, 1)
-
-    def test_engine_auto_resolves_array_and_sharded(self, monkeypatch):
-        self._tune(monkeypatch, cpus=2)
-        trace = random_trace(np.random.default_rng(11), n=1200)
-        sim = CacheSimulator(GEOMETRY, auto_min_refs=100)  # engine="auto"
-        sim.run(trace)
-        assert sim.engine == "array"
-        assert isinstance(sim._array, ShardedLRUSimulator)
-        assert (sim.shards, sim.jobs) == (2, 2)
+    """``CacheSimulator`` resolution of the deferred ``"auto"`` engine."""
 
     def test_engine_auto_small_trace_stays_reference(self):
-        sim = CacheSimulator(GEOMETRY)  # everything "auto", real tuner
+        sim = CacheSimulator(GEOMETRY)  # everything "auto"
         sim.run(random_trace(np.random.default_rng(13), n=50))
         assert sim.engine == "reference"
         assert sim.cache is not None
-        assert (sim.shards, sim.jobs) == (1, 1)
-
-    def test_explicit_jobs_caps_auto_plan(self, monkeypatch):
-        self._tune(monkeypatch, cpus=8, per_worker=125)
-        trace = random_trace(np.random.default_rng(17), n=1200)
-        base = CacheSimulator(
-            GEOMETRY, track_residency=True, engine="array", shards=1, jobs=1
-        )
-        sim = CacheSimulator(
-            GEOMETRY, track_residency=True, engine="array", jobs=2
-        )
-        base.run(trace)
-        sim.run(trace)
-        assert sim.shards == 8  # plan width from refs, capped by cpus
-        assert sim.jobs == 2  # the explicit worker budget holds
-        assert_identical(sim, base, trace.labels)
-
-    def test_jobs_one_disables_auto_sharding(self, monkeypatch):
-        self._tune(monkeypatch, cpus=8)
-        sim = CacheSimulator(GEOMETRY, engine="array", jobs=1)
-        sim.run(random_trace(np.random.default_rng(19), n=1200))
-        assert isinstance(sim._array, ArrayLRUEngine)
-        assert (sim.shards, sim.jobs) == (1, 1)
-
-    def test_explicit_shards_override_tuner(self, monkeypatch):
-        monkeypatch.setattr(simulator, "effective_cpus", lambda: 1)
-        sim = CacheSimulator(GEOMETRY, engine="array", shards=3)
-        assert isinstance(sim._array, ShardedLRUSimulator)  # eager
-        assert (sim.shards, sim.jobs) == (3, 1)  # jobs follow real CPUs
-
-    def test_simulate_trace_auto_default_matches(self):
-        trace = random_trace(np.random.default_rng(23), n=600)
-        auto = simulate_trace(trace, GEOMETRY)
-        pinned = simulate_trace(
-            trace, GEOMETRY, engine="array", shards=1, jobs=1
-        )
-        assert auto.as_dict() == pinned.as_dict()
-
-    @pytest.mark.parametrize("bad", [True, 0, -2, "bogus", 1.5])
-    def test_bad_parallelism_args_rejected(self, bad):
-        with pytest.raises(ValueError, match="shards"):
-            CacheSimulator(GEOMETRY, shards=bad)
-        with pytest.raises(ValueError, match="jobs"):
-            CacheSimulator(GEOMETRY, jobs=bad)
+        assert sim.shards == 1

@@ -16,6 +16,7 @@ from repro.cachesim import (
     CacheGeometry,
     CacheSimulator,
     check_engine,
+    simulate_trace,
 )
 from repro.trace.reference import ReferenceTrace
 
@@ -168,6 +169,12 @@ class TestEngineSwitch:
         sim.run(trace)
         assert sim.engine == "reference"
         assert sim.cache is not None
+
+    def test_simulate_trace_auto_matches_array(self):
+        trace = random_trace(np.random.default_rng(23), n=600)
+        auto = simulate_trace(trace, CacheGeometry(4, 64, 32))
+        pinned = simulate_trace(trace, CacheGeometry(4, 64, 32), engine="array")
+        assert auto.as_dict() == pinned.as_dict()
 
     def test_auto_routes_large_trace_to_array(self):
         rng = np.random.default_rng(12)

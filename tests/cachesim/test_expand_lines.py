@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim import CacheGeometry, CacheSimulator
-from repro.cachesim.simulator import _expand_lines
+from repro.cachesim.expand import _expand_lines
 from repro.trace.reference import ReferenceTrace
 
 

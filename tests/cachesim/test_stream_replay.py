@@ -5,10 +5,10 @@ The chunked-iterator protocol (the streaming tentpole) must be
 per-label hits/misses/writebacks, resident lines, residency integrals
 (float ``==``), flush writebacks, and final cache state — across
 geometries, chunk sizes (including ``chunk_refs=1``, which splits every
-straddling reference's chunk from its successor), engines, and the
-sharded shared-memory-ring path.  The recorder's pull- and push-mode
-streaming must reproduce ``finish()`` exactly, and incremental
-expansion must be a chunking-invariant (hypothesis property).
+straddling reference's chunk from its successor) and engines.  The
+recorder's pull- and push-mode streaming must reproduce ``finish()``
+exactly, and incremental expansion must be a chunking-invariant
+(hypothesis property).
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim import CacheGeometry, CacheSimulator, simulate_trace
-from repro.cachesim.simulator import _expand_lines
+from repro.cachesim.expand import _expand_lines
 from repro.trace.recorder import TraceRecorder
 from repro.trace.reference import ReferenceTrace, iter_chunks
 
@@ -110,28 +110,6 @@ class TestStreamedBitIdentity:
         streamed.run_stream(rec_b.finish_chunks(70))
         assert_identical(streamed, mono, ["A", "B", "C"])
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_sharded_streaming_matches(self, jobs):
-        # Explicit shards stream each chunk through the per-scope
-        # shared-memory ring; results stay bit-identical to the
-        # monolithic sharded run and to the plain engine.
-        geometry = CacheGeometry(4, 64, 32)
-        rng = np.random.default_rng(29 + jobs)
-        trace = random_trace(rng, n=1100)
-        mono = CacheSimulator(geometry, track_residency=True, engine="array")
-        streamed = CacheSimulator(
-            geometry,
-            track_residency=True,
-            engine="array",
-            shards=2,
-            jobs=jobs,
-        )
-        mono.run(trace)
-        streamed.run_stream(iter_chunks(trace, 113))
-        assert_identical(streamed, mono, trace.labels)
-        # The scope tears the ring down.
-        assert streamed._array._ring is None
-
     def test_streaming_auto_resolves_to_array(self):
         # A tiny first chunk must not route a long stream onto the dict
         # oracle: streaming flips engine="auto" to the array engine.
@@ -143,13 +121,6 @@ class TestStreamedBitIdentity:
         mono = CacheSimulator(geometry, engine="array")
         mono.run(trace)
         assert sim.stats.as_dict() == mono.stats.as_dict()
-
-    def test_stream_scope_rejects_reentry(self):
-        sim = CacheSimulator(CacheGeometry(4, 16, 32), shards=2, jobs=1)
-        with sim.stream_scope():
-            with pytest.raises(RuntimeError, match="stream"):
-                with sim._array.stream_scope():
-                    pass
 
 
 class TestIterChunks:

@@ -88,3 +88,27 @@ class TestAspenSubcommand:
         with pytest.raises(SystemExit) as excinfo:
             runner.main(["aspen", "--mode", "sloppy"])
         assert excinfo.value.code == 2
+
+
+class TestSimulationFlags:
+    """Cache replay has no parallelism knobs: ``--jobs`` is fi-only."""
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig5"])
+    def test_jobs_on_figure_run_is_usage_error(self, experiment, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main([experiment, "--tier", "test", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_shards_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["fig4", "--tier", "test", "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_jobs_still_reaches_fi(self, monkeypatch, capsys):
+        monkeypatch.setitem(
+            runner._COMMANDS, "fi", lambda args: f"fi jobs={args.jobs}"
+        )
+        assert runner.main(["fi", "--jobs", "2"]) == 0
+        assert "fi jobs=2" in capsys.readouterr().out
