@@ -10,8 +10,9 @@ against this file instead of re-deriving throughput claims by hand.
 ``--pipeline`` times the end-to-end Figure 4 pipeline instead and
 writes ``BENCH_pipeline.json``: the sweep with a cold vs a warm
 persistent trace cache, and a ``streaming`` section measuring *peak
-RSS* (``ru_maxrss``) of chunked streaming replay vs monolithic replay
-of the same seeded synthetic MC-style trace on the 8MB LLC, each in its
+RSS* (``ru_maxrss``) of chunked streaming replay vs "monolithic" replay
+(the same seeded synthetic MC-style trace materialised whole first) on
+the 8MB LLC, each in its
 own subprocess so the high-water marks don't contaminate each other.
 In streaming mode the trace is generated chunk-by-chunk and never
 materialised, so the recorded ``trace_bytes`` can exceed the streaming
@@ -291,6 +292,13 @@ def run_rss_probe(mode: str, refs: int, chunk_refs: int) -> dict:
     reflects only this mode's allocations on top of the interpreter
     baseline — a monolithic run in the same process would poison the
     streaming high-water mark.
+
+    Both exact modes go through the same chunked replay path
+    (``CacheSimulator.run``).  ``streaming`` feeds it generated chunks,
+    so the whole trace never exists; ``monolithic`` first materialises
+    the whole trace and then hands it to ``run``, which replays it in
+    its own bounded batches.  The difference between the two is the
+    cost of holding the materialised trace.
     """
     import numpy as np
 
@@ -300,7 +308,7 @@ def run_rss_probe(mode: str, refs: int, chunk_refs: int) -> dict:
     start = time.perf_counter()
     if mode == "streaming":
         sim = CacheSimulator(geometry, engine="array")
-        sim.run_stream(synthetic_chunks(refs, chunk_refs))
+        sim.run(synthetic_chunks(refs, chunk_refs))
         stats = sim.stats.as_dict()
     elif mode == "monolithic":
         from repro.trace.reference import ReferenceTrace

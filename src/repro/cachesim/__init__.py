@@ -14,9 +14,11 @@ Public API
 :class:`SetAssociativeCache`
     An LRU, write-back/write-allocate set-associative cache.
 :class:`CacheSimulator`
-    Drives a reference trace through a cache, accumulating per-label stats.
-    Two engines sit behind it (``engine="array"|"reference"|"auto"``):
-    the batched numpy :class:`ArrayLRUEngine` and the dict-based oracle.
+    Drives a reference trace (or a stream of trace chunks) through a
+    cache, accumulating per-label stats; :meth:`CacheSimulator.run` is
+    the one replay entry point.  Two engines sit behind it, chosen at
+    construction (``engine="array"|"reference"|"auto"``): the batched
+    numpy :class:`ArrayLRUEngine` and the dict-based oracle.
 :class:`ArrayLRUEngine`
     The batched, array-backed LRU engine (bit-identical to the oracle).
 :class:`CacheStats` / :class:`LabelStats`
@@ -33,7 +35,6 @@ from repro.cachesim.configs import (
 )
 from repro.cachesim.cache import SetAssociativeCache
 from repro.cachesim.engine import (
-    AUTO_ARRAY_MIN_REFS,
     ENGINES,
     ArrayLRUEngine,
     CacheEngineError,
@@ -64,7 +65,6 @@ __all__ = [
     "LabelEstimate",
     "TraceEstimator",
     "expanded_size",
-    "AUTO_ARRAY_MIN_REFS",
     "ENGINES",
     "PAPER_CACHES",
     "PROFILING_CACHES",

@@ -10,20 +10,19 @@ large numpy batches and produces **bit-identical** per-label statistics
 How the batching works
 ----------------------
 Accesses to different cache sets never interact, and within one set the
-LRU outcome depends only on that set's access subsequence.  A chunk of
-the expanded trace is processed in staged, vectorised passes:
+LRU outcome depends only on that set's access subsequence.  Each
+:meth:`ArrayLRUEngine.replay` call processes its whole input (one
+batch of :data:`~repro.cachesim.expand.REPLAY_CHUNK_REFS` references,
+expanded) in staged, vectorised passes:
 
-0. **Pre-collapse** — consecutive touches of the same line in the raw
-   stream are guaranteed hits after the first (nothing can evict the
-   line in between); they are counted with one ``bincount`` before any
-   sorting, shrinking the downstream volume by the trace's run factor.
-1. **Per-set grouping** — a stable sort by set index turns the chunk
+1. **Per-set grouping** — a stable sort by set index turns the batch
    into per-set subsequences while preserving each set's access order.
-2. **Run collapse** — same-line items that became adjacent within a
-   set's subsequence (e.g. interleaved streams) collapse the same way.
-   Each surviving *run* carries the OR of its write flags, the position
-   of its first access (insert/evict step) and of its last access (its
-   LRU age).
+2. **Run collapse** — consecutive touches of the same line within a
+   set's subsequence are guaranteed hits after the first (nothing in
+   that set can evict the line in between); they collapse into one
+   *run*, counted with one ``bincount``.  Each run carries the OR of
+   its write flags, the position of its first access (insert/evict
+   step) and of its last access (its LRU age).
 3. **Wave scheduling** — runs are ranked within their set; wave *k*
    holds every set's *k*-th run.  A wave touches any set at most once,
    so it is a handful of whole-array numpy operations on gathered
@@ -39,11 +38,12 @@ makes victim choice — and with it writeback attribution and residency
 events — deterministic and identical to the OrderedDict oracle.
 
 Wave efficiency scales with the number of sets: a 4096-set cache packs
-thousands of runs per wave, a 64-set cache at most 64.  When a chunk's
-mean wave would be tiny, the engine instead materialises just the
-touched sets into ordered dicts, replays the (already collapsed) runs
-sequentially, and scatters the result back into the arrays — same
-outcome, chosen purely on throughput (``strategy="adaptive"``).
+thousands of runs per wave, a 64-set cache at most 64.  When a batch's
+mean wave would hold fewer than :data:`ADAPTIVE_WAVE_CUTOFF` runs, the
+engine instead materialises just the touched sets into ordered dicts,
+replays the (already collapsed) runs sequentially, and scatters the
+result back into the arrays — same outcome, chosen automatically on
+throughput.
 
 The engine implements the LRU policy only; FIFO/random ablations stay
 on the reference path (:class:`CacheEngineError` enforces the switch).
@@ -62,25 +62,10 @@ from repro.cachesim.stats import CacheStats
 #: :class:`~repro.cachesim.simulator.CacheSimulator`.
 ENGINES = ("auto", "array", "reference")
 
-#: Recognised values for :class:`ArrayLRUEngine`'s ``strategy=``.
-STRATEGIES = ("adaptive", "wave", "scalar")
-
-#: Default number of expanded line touches replayed per batch.
-DEFAULT_CHUNK_SIZE = 1 << 21
-
-#: ``adaptive`` switches a chunk from wave to scalar replay when the
-#: mean wave would hold fewer runs than this (per-wave numpy dispatch
-#: overhead, ~tens of µs, then exceeds the ~1 µs/run sequential cost).
+#: A batch switches from wave to scalar replay when its mean wave would
+#: hold fewer runs than this (per-wave numpy dispatch overhead, ~tens of
+#: µs, then exceeds the ~1 µs/run sequential cost).
 ADAPTIVE_WAVE_CUTOFF = 128
-
-#: ``engine="auto"`` routes an LRU simulation to the array engine only
-#: when the expanded trace holds at least this many line touches.  Below
-#: it the batching set-up costs dominate and the dict oracle is the
-#: faster path — the committed ``BENCH_cachesim.json`` measured the
-#: array engine at 0.90-0.98x reference on the sub-100k-reference
-#: small-cache rows.  Override per simulator via
-#: ``CacheSimulator(auto_min_refs=...)``.
-AUTO_ARRAY_MIN_REFS = 100_000
 
 #: Residency event kinds (see :meth:`ArrayLRUEngine.replay`).
 EVENT_EVICT = 0
@@ -142,21 +127,8 @@ class ArrayLRUEngine:
     attribution survives across calls.
     """
 
-    def __init__(
-        self,
-        geometry: CacheGeometry,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        strategy: str = "adaptive",
-    ):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {strategy!r}"
-            )
+    def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
-        self.chunk_size = int(chunk_size)
-        self.strategy = strategy
         num_sets = geometry.num_sets
         shape = (num_sets, geometry.associativity)
         # Invariants the wave kernel relies on: an empty way holds
@@ -169,7 +141,7 @@ class ArrayLRUEngine:
         self._dirty = np.zeros(shape, dtype=bool)
         self._label = np.zeros(shape, dtype=np.int32)
         #: log2(num_sets) when it is a power of two, else None (the
-        #: chunk kernel then falls back to %/// for the set split).
+        #: batch kernel then falls back to %/// for the set split).
         self._set_shift = (
             num_sets.bit_length() - 1
             if num_sets & (num_sets - 1) == 0
@@ -242,143 +214,95 @@ class ArrayLRUEngine:
 
         Parameters mirror the output of
         :func:`~repro.cachesim.expand._expand_lines` plus the trace's
-        label table.  When ``collect_events`` is true, returns
-        ``(steps, kinds, label_ids)`` arrays describing every eviction
-        and insertion in chronological order (``steps`` are 1-based
-        global access steps; ``kinds`` are :data:`EVENT_EVICT` /
-        :data:`EVENT_INSERT`; ``label_ids`` index the engine label
-        table) so the caller can reproduce the oracle's residency
-        integrals exactly.  Otherwise returns ``None``.
+        label table; the whole input is one batch (callers bound it,
+        see :func:`~repro.cachesim.expand.iter_expanded`).  When
+        ``collect_events`` is true, returns ``(steps, kinds,
+        label_ids)`` arrays describing every eviction and insertion in
+        chronological order (``steps`` are 1-based global access steps;
+        ``kinds`` are :data:`EVENT_EVICT` / :data:`EVENT_INSERT`;
+        ``label_ids`` index the engine label table) so the caller can
+        reproduce the oracle's residency integrals exactly.  Otherwise
+        returns ``None``.
         """
-        n_total = len(line_ids)
         ids = [self.intern(name) for name in labels]
-        remap = (
-            None
-            if ids == list(range(len(ids)))
-            else np.asarray(ids, dtype=np.int32)
-        )
+        if ids != list(range(len(ids))):
+            label_ids = np.asarray(ids, dtype=np.int32)[label_ids]
         n_labels = len(self._labels)
         hits = np.zeros(n_labels, dtype=np.int64)
         misses = np.zeros(n_labels, dtype=np.int64)
         writebacks = np.zeros(n_labels, dtype=np.int64)
-        events: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        engine_labels = (
-            label_ids if remap is None else remap[label_ids]
-        )
-        for start in range(0, n_total, self.chunk_size):
-            stop = min(start + self.chunk_size, n_total)
-            chunk_events = self._replay_chunk(
-                line_ids[start:stop],
-                is_write[start:stop],
-                engine_labels[start:stop],
-                self.clock + start,
+        events = None
+        if len(line_ids):
+            events = self._replay_chunk(
+                line_ids,
+                is_write,
+                label_ids,
                 hits,
                 misses,
                 writebacks,
                 collect_events,
             )
-            if collect_events and chunk_events is not None:
-                events.append(chunk_events)
-        self.clock += n_total
+            self.clock += len(line_ids)
         for lid in np.flatnonzero(hits | misses | writebacks):
             counters = stats.label(self._labels[lid])
             counters.hits += int(hits[lid])
             counters.misses += int(misses[lid])
             counters.writebacks += int(writebacks[lid])
-        if not collect_events:
-            return None
-        if not events:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0, dtype=np.int32)
-        return (
-            np.concatenate([e[0] for e in events]),
-            np.concatenate([e[1] for e in events]),
-            np.concatenate([e[2] for e in events]),
-        )
+        if collect_events and events is None:
+            return _merge_events([], [], [], [])
+        return events
 
-    # -- chunk kernel ----------------------------------------------------
+    # -- batch kernel ----------------------------------------------------
     def _replay_chunk(
         self,
         line_ids: np.ndarray,
         is_write: np.ndarray,
         engine_labels: np.ndarray,
-        base_position: int,
         hits: np.ndarray,
         misses: np.ndarray,
         writebacks: np.ndarray,
         collect_events: bool,
     ):
-        n = len(line_ids)
-        if n == 0:
-            return None
         n_labels = hits.size
-        # Stage 0: pre-collapse consecutive same-line touches (cheap,
-        # before any sort — straddles and streaming sweeps shrink here).
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        if n > 1:
-            np.not_equal(line_ids[1:], line_ids[:-1], out=keep[1:])
-        if keep.all():
-            item_line = line_ids
-            item_label = engine_labels
-            item_write = is_write
-            item_first = np.arange(
-                base_position, base_position + n, dtype=np.int64
-            )
-            item_last = item_first
-        else:
-            starts0 = np.flatnonzero(keep)
-            item_line = line_ids[starts0]
-            item_label = engine_labels[starts0]
-            item_write = np.logical_or.reduceat(is_write, starts0)
-            item_first = starts0 + base_position
-            ends0 = np.empty_like(starts0)
-            ends0[:-1] = starts0[1:] - 1
-            ends0[-1] = n - 1
-            item_last = ends0 + base_position
-            # Duplicate touches are guaranteed hits, each charged to
-            # its own label (a run may mix labels): all touches minus
-            # the surviving items, per label.
-            hits += _label_counts(engine_labels, n_labels)
-            hits -= _label_counts(item_label, n_labels)
+        base = self.clock
         # Stage 1: per-set grouping (stable sort keeps each set's
         # order).  Only the line ids and write flags are gathered into
         # sorted order; every other run column is gathered once at the
-        # end through a composed item index.
+        # end through a composed touch index.
         num_sets = self.geometry.num_sets
         if self._set_shift is not None:
-            set_idx = item_line & (num_sets - 1)
+            set_idx = line_ids & (num_sets - 1)
         else:
-            set_idx = item_line % num_sets
+            set_idx = line_ids % num_sets
         # A 16-bit sort key switches numpy's stable sort to radix,
         # several times faster than the int64 merge sort here.
         if num_sets <= 1 << 16:
             order = np.argsort(set_idx.astype(np.uint16), kind="stable")
         else:
             order = np.argsort(set_idx, kind="stable")
-        line_s = item_line.take(order)
-        w_s = item_write.take(order)
-        # Stage 2: collapse same-line items adjacent within a set.
+        line_s = line_ids.take(order)
+        w_s = is_write.take(order)
+        # Stage 2: collapse same-line touches adjacent within a set.
         # Equal lines never sit in different sets, so adjacency is a
         # single line-id compare.
-        n_items = line_s.size
-        new_run = np.empty(n_items, dtype=bool)
+        n = line_s.size
+        new_run = np.empty(n, dtype=bool)
         new_run[0] = True
-        if n_items > 1:
+        if n > 1:
             np.not_equal(line_s[1:], line_s[:-1], out=new_run[1:])
         starts = np.flatnonzero(new_run)
         n_runs = starts.size
-        if n_runs != n_items:
-            # Each collapsed item is one more guaranteed hit (its own
-            # duplicates were counted in stage 0).
+        if n_runs != n:
+            # Every collapsed touch is a guaranteed hit, charged to its
+            # own label (a run may mix labels).
             dup_idx = order.take(np.flatnonzero(~new_run))
-            hits += _label_counts(item_label.take(dup_idx), n_labels)
+            hits += _label_counts(engine_labels.take(dup_idx), n_labels)
             run_write = np.logical_or.reduceat(w_s, starts)
         else:
             run_write = w_s
         ends = np.empty_like(starts)
         ends[:-1] = starts[1:] - 1
-        ends[-1] = n_items - 1
+        ends[-1] = n - 1
         run_line = line_s.take(starts)
         if self._set_shift is not None:
             run_set = run_line & (num_sets - 1)
@@ -392,20 +316,17 @@ class ArrayLRUEngine:
         group_first = np.flatnonzero(group_start)
         group_sizes = np.diff(group_first, append=n_runs)
         n_waves = int(group_sizes.max())
-        if self.strategy == "scalar" or (
-            self.strategy == "adaptive"
-            and n_runs < n_waves * ADAPTIVE_WAVE_CUTOFF
-        ):
+        if n_runs < n_waves * ADAPTIVE_WAVE_CUTOFF:
             # Set-sorted order is already per-set chronological, which
             # is all the sequential replay needs.
             comp = order.take(starts)
             runs = (
                 run_set,
                 self._run_tags(run_line),
-                item_label.take(comp),
+                engine_labels.take(comp),
                 run_write,
-                item_first.take(comp),
-                item_last.take(order.take(ends)),
+                comp + base,
+                order.take(ends) + base,
             )
             return self._replay_runs_scalar(
                 runs, hits, misses, writebacks, collect_events
@@ -418,7 +339,7 @@ class ArrayLRUEngine:
         # group_first + k for every group with more than k runs, in
         # ascending set order — exactly what the stable rank sort
         # used to produce.  The dense (n_waves, n_groups) mask is only
-        # worth it when groups are reasonably balanced; skewed chunks
+        # worth it when groups are reasonably balanced; skewed batches
         # (mask much larger than n_runs) fall back to a radix sort of
         # the explicit ranks.
         if n_waves * n_groups <= 4 * n_runs:
@@ -442,10 +363,10 @@ class ArrayLRUEngine:
         runs = (
             run_set.take(wave_order),
             self._run_tags(run_line_w),
-            item_label.take(comp),
+            engine_labels.take(comp),
             run_write.take(wave_order),
-            item_first.take(comp),
-            item_last.take(comp_end),
+            comp + base,
+            comp_end + base,
         )
         return self._replay_runs_waves(
             runs, wave_sizes, hits, misses, writebacks, collect_events
@@ -561,12 +482,10 @@ class ArrayLRUEngine:
                 if victim_dirty.any():
                     wb_labels.append(victim_label.compress(victim_dirty))
                 if collect_events:
-                    evict_steps.append(
-                        run_first_plus_one(wfirst.take(fidx))
-                    )
+                    evict_steps.append(wfirst.take(fidx) + 1)
                     evict_labels.append(victim_label)
             if collect_events:
-                insert_steps.append(run_first_plus_one(wfirst))
+                insert_steps.append(wfirst + 1)
                 insert_labels.append(wl.copy())
             flat = base + way
             tags_f[flat] = wt
@@ -596,9 +515,9 @@ class ArrayLRUEngine:
         writebacks: np.ndarray,
         collect_events: bool,
     ):
-        """Sequential replay of collapsed runs for wave-hostile chunks.
+        """Sequential replay of collapsed runs for wave-hostile batches.
 
-        Only the sets this chunk touches are materialised from the
+        Only the sets this batch touches are materialised from the
         state arrays into ordered dicts (LRU order = ascending age),
         replayed with dict operations like the oracle — but over the
         collapsed runs, not raw touches — and scattered back.
@@ -694,18 +613,13 @@ class ArrayLRUEngine:
         )
 
 
-def run_first_plus_one(first: np.ndarray) -> np.ndarray:
-    """1-based residency step for runs' first accesses."""
-    return first + 1
-
-
 def _merge_events(
     evict_steps: list[np.ndarray],
     evict_labels: list[np.ndarray],
     insert_steps: list[np.ndarray],
     insert_labels: list[np.ndarray],
 ):
-    """Chronologically merge eviction/insertion events of one chunk.
+    """Chronologically merge eviction/insertion events of one batch.
 
     An eviction precedes the insertion that caused it (same step),
     matching the oracle's settle order.

@@ -42,8 +42,10 @@ exact replay and every half-width is zero (the tests assert this).
 
 The estimator consumes the chunked-iterator protocol
 (:class:`TraceEstimator.consume` is push-mode, :func:`estimate_trace`
-pull-mode), so its memory footprint is O(chunk) like the exact
-streaming path — plus O(sampled state).
+pull-mode).  Expansion runs in the same bounded batches as exact replay
+(:func:`~repro.cachesim.expand.iter_expanded`); only each chunk's
+sampled touches, ``sample_fraction`` of it, are held for its replay —
+plus O(sampled state).
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cachesim.configs import CacheGeometry
-from repro.cachesim.engine import DEFAULT_CHUNK_SIZE, ArrayLRUEngine
-from repro.cachesim.expand import _expand_lines, set_index
+from repro.cachesim.engine import ArrayLRUEngine
+from repro.cachesim.expand import iter_expanded, set_index
 from repro.cachesim.stats import CacheStats
-from repro.trace.reference import ReferenceTrace, iter_chunks
+from repro.trace.reference import ReferenceTrace
 
 # The statistical helper lives with the paper's hypergeometric machinery
 # in repro.patterns.random_access, which imports cachesim.configs —
@@ -175,8 +177,6 @@ class TraceEstimator:
         groups: int = DEFAULT_GROUPS,
         confidence: float = 0.95,
         seed: int = 0,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        strategy: str = "adaptive",
     ):
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError(
@@ -217,9 +217,7 @@ class TraceEstimator:
         #: Per-set sample rank (0..g-1) or -1 when the set is unsampled.
         self._rank_of_set = rank_of_group[group_of_set]
         self.sampled_sets = int(np.count_nonzero(self._rank_of_set >= 0))
-        self._engine = ArrayLRUEngine(
-            geometry, chunk_size=chunk_size, strategy=strategy
-        )
+        self._engine = ArrayLRUEngine(geometry)
         self._stats = CacheStats()
         self._label_order: list[str] = []
         self._label_seen: set[str] = set()
@@ -236,38 +234,41 @@ class TraceEstimator:
             if name not in self._label_seen:
                 self._label_seen.add(name)
                 self._label_order.append(name)
-        n = len(chunk)
-        if n == 0:
-            return
-        self.refs += n
-        line_ids, is_write, label_ids = _expand_lines(
-            chunk, self.geometry.line_size
-        )
-        rank = self._rank_of_set[
-            set_index(line_ids, self.geometry.num_sets)
-        ]
-        keep = rank >= 0
-        kept = int(np.count_nonzero(keep))
-        if kept == 0:
-            return
-        self.sampled_refs += kept
+        self.refs += len(chunk)
         n_labels = len(chunk.labels)
         # Synthetic (group, label) labels: one replay produces per-group
         # per-label counters, decoded in finish().  Interning is by
         # name, so chunks whose label tables grow as a prefix stay
         # consistent across the stream.
-        synth_ids = (rank[keep] * n_labels + label_ids[keep]).astype(
-            np.int32
-        )
         synth_labels = [
             f"{r}{_SEP}{name}"
             for r in range(self.sampled_groups)
             for name in chunk.labels
         ]
+        lines, writes, synth_ids = [], [], []
+        for _, line_ids, is_write, label_ids in iter_expanded(
+            chunk, self.geometry.line_size
+        ):
+            rank = self._rank_of_set[
+                set_index(line_ids, self.geometry.num_sets)
+            ]
+            keep = rank >= 0
+            lines.append(line_ids[keep])
+            writes.append(is_write[keep])
+            synth_ids.append(
+                (rank[keep] * n_labels + label_ids[keep]).astype(np.int32)
+            )
+        line_ids = np.concatenate(lines)
+        if line_ids.size == 0:
+            return
+        self.sampled_refs += line_ids.size
+        # Expansion is batched, but the sample, a fraction of the
+        # chunk, is replayed in one engine call: every call pays for
+        # the sampled sets it touches, so smaller calls cost more.
         self._engine.replay(
-            line_ids[keep],
-            is_write[keep],
-            synth_ids,
+            line_ids,
+            np.concatenate(writes),
+            np.concatenate(synth_ids),
             synth_labels,
             self._stats,
         )
@@ -347,15 +348,13 @@ def estimate_trace(
     groups: int = DEFAULT_GROUPS,
     confidence: float = 0.95,
     seed: int = 0,
-    chunk_refs: int | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    strategy: str = "adaptive",
 ) -> EstimateResult:
     """Pull-mode estimator entry (``mode="estimate"`` behind
     :func:`~repro.cachesim.simulator.simulate_trace`).
 
-    ``trace`` may be a :class:`ReferenceTrace` (optionally chunked via
-    ``chunk_refs`` to bound expansion memory) or any chunk iterator.
+    ``trace`` may be a :class:`ReferenceTrace` or any chunk iterator;
+    either way expansion runs in bounded batches (see
+    :func:`~repro.cachesim.expand.iter_expanded`).
     """
     estimator = TraceEstimator(
         geometry,
@@ -363,15 +362,8 @@ def estimate_trace(
         groups=groups,
         confidence=confidence,
         seed=seed,
-        chunk_size=chunk_size,
-        strategy=strategy,
     )
-    if isinstance(trace, ReferenceTrace):
-        chunks = (
-            iter_chunks(trace, chunk_refs) if chunk_refs else (trace,)
-        )
-    else:
-        chunks = trace
+    chunks = (trace,) if isinstance(trace, ReferenceTrace) else trace
     for chunk in chunks:
         estimator.consume(chunk)
     return estimator.finish(flush_at_end=flush_at_end)

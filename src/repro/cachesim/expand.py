@@ -4,10 +4,14 @@ The cache engines consume *expanded* streams: one entry per cache line
 an access touches (an access spanning k lines contributes k consecutive
 entries).  This module owns that expansion:
 
+* :data:`REPLAY_CHUNK_REFS` and :func:`iter_expanded` — the one
+  batching policy of exact and estimated replay: every trace or chunk
+  is cut into batches of at most ``REPLAY_CHUNK_REFS`` references and
+  each batch is expanded on its own;
 * :func:`_expand_lines` — full expansion of a trace (the array engine's
   input format);
 * :func:`expanded_size` — the expanded length *without* materialising
-  the stream (what ``engine="auto"`` routes on);
+  the stream (a cheap touch count for reporting);
 * :func:`set_index` — the cache set of each line, shared with the
   set-sampling estimator.
 
@@ -17,6 +21,15 @@ Everything here is pure numpy over the trace columns.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.trace.reference import ReferenceTrace
+
+#: References per replay batch.  Expansion is per-reference elementwise
+#: and the engines keep their state across batches, so the value never
+#: changes a result, only speed and peak memory: a sweep of 16Ki, 64Ki,
+#: 256Ki and 1Mi over the Figure 4 cells and a 4Mi-reference stream
+#: found 64Ki fastest (EXPERIMENTS.md, "One replay path").
+REPLAY_CHUNK_REFS = 1 << 16
 
 
 def set_index(line_ids: np.ndarray, num_sets: int) -> np.ndarray:
@@ -60,8 +73,7 @@ def expanded_size(trace, line_size: int) -> int:
     """Expanded line-touch count of ``trace`` without materialising it.
 
     Exactly ``len(_expand_lines(trace, line_size)[0])``, at the cost of
-    the span arithmetic only — this is what the deferred ``auto``
-    engine routing decides on.
+    the span arithmetic only.
     """
     n = len(trace.addresses)
     if n == 0:
@@ -116,3 +128,21 @@ def _expand_lines(
     return line_ids, np.repeat(trace.is_write, spans), np.repeat(
         trace.label_ids, spans
     )
+
+
+def iter_expanded(source, line_size: int):
+    """Yield ``(batch, line_ids, is_write, label_ids)`` replay batches.
+
+    ``source`` is a :class:`ReferenceTrace` or an iterable of them (a
+    chunk stream).  Each trace is cut into zero-copy batches of at most
+    :data:`REPLAY_CHUNK_REFS` references, so expansion memory is
+    bounded however large the trace is.  An empty trace still yields
+    one empty batch, so its label table is seen.
+    """
+    if isinstance(source, ReferenceTrace):
+        source = (source,)
+    for trace in source:
+        n = len(trace)
+        for start in range(0, max(n, 1), REPLAY_CHUNK_REFS):
+            batch = trace.slice_refs(start, min(start + REPLAY_CHUNK_REFS, n))
+            yield (batch, *_expand_lines(batch, line_size))

@@ -3,10 +3,10 @@
 Two engines sit behind :class:`CacheSimulator`:
 
 * ``"array"`` — the batched numpy engine
-  (:class:`~repro.cachesim.engine.ArrayLRUEngine`): the trace is
-  pre-expanded into flat numpy columns of per-line touches
-  (vectorised), collapsed, and replayed in per-set waves of whole-array
-  operations.  LRU only; bit-identical to the oracle.
+  (:class:`~repro.cachesim.engine.ArrayLRUEngine`): each batch is
+  expanded into flat numpy columns of per-line touches (vectorised),
+  collapsed, and replayed in per-set waves of whole-array operations.
+  LRU only; bit-identical to the oracle.
 * ``"reference"`` — the dict-based
   :class:`~repro.cachesim.cache.SetAssociativeCache` oracle: a
   sequential walk doing plain dict operations, roughly a microsecond
@@ -14,12 +14,17 @@ Two engines sit behind :class:`CacheSimulator`:
   ground truth the array engine is differentially tested against
   (``tests/cachesim/test_engine_differential.py``).
 
-The default ``engine="auto"`` routes LRU to the array engine and the
-FIFO/random ablation policies to the reference cache's general access
-path; requesting ``engine="array"`` for a non-LRU policy raises
+The engine is fixed at construction: the default ``engine="auto"``
+picks the array engine for LRU and the reference cache's general access
+path for the FIFO/random ablation policies; requesting
+``engine="array"`` for a non-LRU policy raises
 :class:`~repro.cachesim.engine.CacheEngineError` instead of silently
-degrading.  ``benchmarks/harness.py`` records the measured speedup per
-kernel in ``BENCH_cachesim.json``.
+degrading.  There is one replay path, :meth:`CacheSimulator.run`: a
+trace or a chunk stream is cut into batches of
+:data:`~repro.cachesim.expand.REPLAY_CHUNK_REFS` references by
+:func:`~repro.cachesim.expand.iter_expanded` and each batch is replayed
+against the persistent engine state.  ``benchmarks/harness.py`` records
+the measured speedup per kernel in ``BENCH_cachesim.json``.
 """
 
 from __future__ import annotations
@@ -29,17 +34,13 @@ import numpy as np
 from repro.cachesim.cache import SetAssociativeCache, _Line
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.engine import (
-    AUTO_ARRAY_MIN_REFS,
-    DEFAULT_CHUNK_SIZE,
     EVENT_EVICT,
-    STRATEGIES,
     ArrayLRUEngine,
     CacheEngineError,
     check_engine,
 )
-from repro.cachesim.expand import _expand_lines, expanded_size
+from repro.cachesim.expand import iter_expanded
 from repro.cachesim.stats import CacheStats
-from repro.trace.reference import ReferenceTrace
 
 
 class CacheSimulator:
@@ -59,25 +60,11 @@ class CacheSimulator:
         RNG seed for the ``"random"`` policy.
     track_residency:
         Enable the per-label residency integrals used by the cache-DVF
-        extension.
+        extension (LRU only).
     engine:
         ``"auto"`` (default), ``"array"`` or ``"reference"`` — see the
         module docstring.  Both engines produce bit-identical
-        statistics for LRU.  ``"auto"`` with LRU resolves *lazily* at
-        the first :meth:`run`, routing to the array engine only when
-        the expanded trace holds at least ``auto_min_refs`` line
-        touches (below that the dict oracle is faster).
-    chunk_size:
-        Batch size (expanded line touches) for the array engine's
-        chunked replay.
-    strategy:
-        Array-engine in-chunk replay strategy (``"adaptive"``/``"wave"``/
-        ``"scalar"``); all three are bit-identical, ``"adaptive"``
-        picks per chunk on estimated throughput.
-    auto_min_refs:
-        Expanded-trace size at which ``engine="auto"`` picks the array
-        engine (default
-        :data:`~repro.cachesim.engine.AUTO_ARRAY_MIN_REFS`).
+        statistics for LRU.
     """
 
     #: Replay runs in one in-process engine; kept for run reporters.
@@ -90,45 +77,29 @@ class CacheSimulator:
         seed: int = 0,
         track_residency: bool = False,
         engine: str = "auto",
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        strategy: str = "adaptive",
-        auto_min_refs: int = AUTO_ARRAY_MIN_REFS,
     ):
         if policy not in SetAssociativeCache.POLICIES:
             raise ValueError(
                 f"policy must be one of {SetAssociativeCache.POLICIES}, "
                 f"got {policy!r}"
             )
-        # Engine construction may be deferred to the first run; fail
-        # bad engine parameters at construction time regardless.
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if strategy not in STRATEGIES:
+        self.engine = check_engine(engine, policy)
+        if track_residency and policy != "lru":
+            # The general access path keeps no residency integrals; it
+            # would silently report zero resident lines.
             raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {strategy!r}"
+                f"track_residency=True requires policy='lru', "
+                f"got policy={policy!r}"
             )
         self.geometry = geometry
         self.policy = policy
-        self._seed = seed
-        self._chunk_size = chunk_size
-        self._strategy = strategy
-        self._auto_min_refs = int(auto_min_refs)
-        resolved = check_engine(engine, policy)
         self._stats = CacheStats()
         #: The dict-based oracle; ``None`` under the array engine.
         self.cache: SetAssociativeCache | None = None
         self._array: ArrayLRUEngine | None = None
-        if engine == "auto" and policy == "lru":
-            # Deferred: the engine is routed by expanded-trace size at
-            # the first run.
-            self.engine = "auto"
-        elif resolved == "array":
-            self.engine = "array"
-            self._array = ArrayLRUEngine(
-                geometry, chunk_size=chunk_size, strategy=strategy
-            )
+        if self.engine == "array":
+            self._array = ArrayLRUEngine(geometry)
         else:
-            self.engine = "reference"
             self.cache = SetAssociativeCache(
                 geometry, stats=self._stats, policy=policy, seed=seed
             )
@@ -183,115 +154,50 @@ class CacheSimulator:
         """Number of lines currently resident in the cache."""
         if self._array is not None:
             return self._array.resident_lines()
-        if self.cache is None:  # auto engine not yet resolved: cold
-            return 0
         return self.cache.resident_lines()
 
     def resident_lines_for(self, label: str) -> int:
         """Number of resident lines owned by ``label``."""
         if self._array is not None:
             return self._array.resident_lines_for(label)
-        if self.cache is None:
-            return 0
         return self.cache.resident_lines_for(label)
 
     # -- trace replay ----------------------------------------------------
-    def _resolve(self, trace: ReferenceTrace, streaming: bool = False) -> None:
-        """Pin a deferred ``engine="auto"`` from the first trace's size.
-
-        The array engine's batching overhead loses to the dict oracle
-        below :data:`~repro.cachesim.engine.AUTO_ARRAY_MIN_REFS`
-        expanded touches.  The expanded size comes from span arithmetic
-        — nothing is materialised here.  The first run's size decides,
-        and the choice then stays fixed for the simulator's lifetime
-        (warm-cache multi-run callers keep one state).
-
-        Under ``streaming`` the first *chunk*'s size says nothing about
-        the stream's total, so ``engine="auto"`` picks the array engine
-        (callers stream precisely because the trace is large).
-        """
-        if streaming or (
-            expanded_size(trace, self.geometry.line_size)
-            >= self._auto_min_refs
-        ):
-            self.engine = "array"
-            self._array = ArrayLRUEngine(
-                self.geometry,
-                chunk_size=self._chunk_size,
-                strategy=self._strategy,
-            )
-        else:
-            self.engine = "reference"
-            self.cache = SetAssociativeCache(
-                self.geometry,
-                stats=self._stats,
-                policy=self.policy,
-                seed=self._seed,
-            )
-
     def run(self, trace) -> CacheStats:
         """Simulate a trace; returns the accumulated stats object.
 
-        Accepts either a :class:`ReferenceTrace` or an *iterable of
-        chunks* (anything yielding ``ReferenceTrace`` pieces, e.g.
+        Accepts a :class:`~repro.trace.reference.ReferenceTrace` or an
+        *iterable of chunks* (e.g.
         :func:`~repro.trace.reference.iter_chunks` or a recorder's
-        :meth:`~repro.trace.recorder.TraceRecorder.finish_chunks`); the
-        latter is routed through :meth:`run_stream` and is bit-identical
-        to running the concatenated trace monolithically.
+        :meth:`~repro.trace.recorder.TraceRecorder.finish_chunks`), and
+        is itself a valid push ``sink=`` of a streaming
+        :class:`~repro.trace.recorder.TraceRecorder`.  Either way the
+        input is replayed in bounded batches
+        (:func:`~repro.cachesim.expand.iter_expanded`), so peak memory
+        is O(batch), and the result — counters, residency events and
+        integrals, final cache state — does not depend on how the
+        references were chunked.
         """
-        if not isinstance(trace, ReferenceTrace):
-            return self.run_stream(trace)
-        if self._array is None and self.cache is None:
-            self._resolve(trace)
-        return self._dispatch(trace)
-
-    def run_chunk(self, chunk: ReferenceTrace) -> CacheStats:
-        """Simulate one chunk of a stream (push-mode streaming entry).
-
-        Identical to :meth:`run` except that deferred ``"auto"``
-        choices resolve with streaming semantics (see :meth:`_resolve`):
-        a small first chunk must not route a billion-reference stream
-        onto the dict oracle.  Use this as the ``sink=`` of a streaming
-        :class:`~repro.trace.recorder.TraceRecorder`.
-        """
-        if self._array is None and self.cache is None:
-            self._resolve(chunk, streaming=True)
-        return self._dispatch(chunk)
-
-    def run_stream(self, chunks) -> CacheStats:
-        """Simulate an iterable of trace chunks (pull-mode streaming).
-
-        Peak memory is O(chunk), not O(trace): each chunk is expanded,
-        replayed against the persistent warm engine state, and dropped.
-        The result — counters, residency events and integrals, final
-        cache state — is bit-identical to a monolithic :meth:`run` of
-        the concatenated trace, because expansion is per-reference
-        elementwise and the engines already replay in bounded batches
-        with persistent state.
-        """
-        for chunk in chunks:
-            self.run_chunk(chunk)
+        if self._array is not None:
+            replay = self._run_array
+        elif self.policy == "lru":
+            replay = self._run_reference
+        else:
+            replay = self._run_policy
+        for batch, line_ids, writes, label_ids in iter_expanded(
+            trace, self.geometry.line_size
+        ):
+            replay(batch.labels, line_ids, writes, label_ids)
         return self._stats
 
-    def _dispatch(self, trace: ReferenceTrace) -> CacheStats:
-        """Route one resolved trace/chunk to the active engine."""
-        line_ids, writes, label_ids = _expand_lines(
-            trace, self.geometry.line_size
-        )
-        if self._array is not None:
-            return self._run_array(trace, line_ids, writes, label_ids)
-        if self.policy != "lru":
-            # Non-LRU ablation policies go through the reference
-            # cache's general access path (the LRU paths above and
-            # below are policy-specific).
-            access = self.cache.access_line
-            labels = trace.labels
-            for line_id, is_write, lid in zip(
-                line_ids.tolist(), writes.tolist(), label_ids.tolist()
-            ):
-                access(line_id, is_write, labels[lid])
-            return self._stats
-        return self._run_reference(trace, line_ids, writes, label_ids)
+    def _run_policy(self, labels, line_ids, writes, label_ids) -> None:
+        """Non-LRU ablation policies: the reference cache's general
+        access path (the LRU walks below are policy-specific)."""
+        access = self.cache.access_line
+        for line_id, is_write, lid in zip(
+            line_ids.tolist(), writes.tolist(), label_ids.tolist()
+        ):
+            access(line_id, is_write, labels[lid])
 
     def _apply_events(self, events, name_of, end_clock: int) -> None:
         """Replay engine residency events into the integral accounting."""
@@ -310,37 +216,35 @@ class CacheSimulator:
 
     def _run_array(
         self,
-        trace: ReferenceTrace,
+        labels: list[str],
         line_ids: np.ndarray,
         writes: np.ndarray,
         label_ids: np.ndarray,
-    ) -> CacheStats:
+    ) -> None:
         """Batched replay through :class:`ArrayLRUEngine`."""
         engine = self._array
-        for name in trace.labels:
+        for name in labels:
             self._stats.label(name)
         events = engine.replay(
             line_ids,
             writes,
             label_ids,
-            trace.labels,
+            labels,
             self._stats,
             collect_events=self.track_residency,
         )
         if self.track_residency:
             self._apply_events(events, engine.label_name, engine.clock)
-        return self._stats
 
     def _run_reference(
         self,
-        trace: ReferenceTrace,
+        labels: list[str],
         line_ids: np.ndarray,
         writes: np.ndarray,
         label_ids: np.ndarray,
-    ) -> CacheStats:
+    ) -> None:
         """The oracle's sequential LRU walk (dict operations)."""
         geometry = self.geometry
-        labels = trace.labels
         # Local-variable binding for the sequential walk.
         sets = self.cache._sets
         num_sets = geometry.num_sets
@@ -380,14 +284,11 @@ class CacheSimulator:
                 self._residency_insert(labels[lid])
         for name, count in wb_counts.items():
             stats.label(name).writebacks += count
-        return stats
 
     def flush(self) -> int:
         """Drain the cache, charging writebacks for dirty lines."""
         if self._array is not None:
             return self._array.flush(self._stats)
-        if self.cache is None:  # auto engine not yet resolved: cold
-            return 0
         return self.cache.flush()
 
 

@@ -17,7 +17,6 @@ from repro.cachesim.engine import CacheEngineError
 from repro.cachesim.simulator import CacheSimulator, simulate_trace
 from repro.diagnostics import DiagnosticSink, check_mode
 from repro.kernels.base import Kernel, Workload
-from repro.trace.reference import iter_chunks
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,8 @@ def ground_truth_stats(
     an :class:`~repro.cachesim.estimate.EstimateResult` in estimator
     mode; both answer ``.misses(name)``.  ``chunk_refs`` streams the
     trace — without a ``trace_cache`` the kernel records straight into
-    the consumer and the monolithic trace is never materialised.
+    the consumer and the whole trace is never materialised; a cached
+    trace is loaded whole (replay batches it itself).
     """
     if sim_mode not in ("exact", "estimate"):
         raise ValueError(
@@ -96,7 +96,7 @@ def ground_truth_stats(
         )
     if chunk_refs is not None and trace_cache is None:
         # True streaming: the recorder pushes chunks straight into the
-        # consumer; the monolithic trace is never materialised.
+        # consumer; the whole trace is never materialised.
         if sim_mode == "estimate":
             if engine == "reference":
                 raise CacheEngineError(
@@ -109,14 +109,10 @@ def ground_truth_stats(
             kernel.trace_stream(workload, chunk_refs, estimator.consume)
             return estimator.finish()
         sim = CacheSimulator(geometry, engine=engine)
-        kernel.trace_stream(workload, chunk_refs, sim.run_chunk)
+        kernel.trace_stream(workload, chunk_refs, sim.run)
         return sim.stats
-    trace = kernel.trace(workload, cache=trace_cache)
-    source = (
-        iter_chunks(trace, chunk_refs) if chunk_refs is not None else trace
-    )
     return simulate_trace(
-        source,
+        kernel.trace(workload, cache=trace_cache),
         geometry,
         engine=engine,
         mode=sim_mode,
@@ -153,8 +149,8 @@ def validate_kernel(
     ``chunk_refs`` streams the trace in fixed-size chunks: with no
     ``trace_cache`` the kernel records straight into the simulator
     (peak memory O(chunk), the full trace never exists); with a cache
-    the persisted trace is re-chunked on the way in.  Both are
-    bit-identical to the monolithic path.  ``sim_mode="estimate"``
+    the persisted trace is loaded whole and replay bounds its own
+    batches.  Both are bit-identical to the unchunked path.  ``sim_mode="estimate"``
     replaces exact replay with the cluster-sampling estimator
     (:mod:`repro.cachesim.estimate`): ``simulated`` becomes an estimate
     and each row carries its ``simulated_halfwidth``;

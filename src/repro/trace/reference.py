@@ -162,7 +162,7 @@ def iter_chunks(
     Chunks are zero-copy views (:meth:`ReferenceTrace.slice_refs`), all
     exactly ``chunk_refs`` long except a shorter final remainder.  This
     is the pull-side half of the streaming protocol: anything accepting
-    a chunk iterator (``CacheSimulator.run_stream``, the estimator, the
+    a chunk iterator (``CacheSimulator.run``, the estimator, the
     chunk-aware :mod:`repro.trace.analysis` functions) consumes either
     these views or the destructively-drained chunks of
     :meth:`~repro.trace.recorder.TraceRecorder.finish_chunks`

@@ -1,14 +1,16 @@
-"""Differential tests: chunked streaming replay vs monolithic replay.
+"""Bit-identity matrix: chunked replay vs the oracle's whole-trace run.
 
-The chunked-iterator protocol (the streaming tentpole) must be
-**bit-identical** to running the concatenated trace in one piece — on
-per-label hits/misses/writebacks, resident lines, residency integrals
-(float ``==``), flush writebacks, and final cache state — across
-geometries, chunk sizes (including ``chunk_refs=1``, which splits every
-straddling reference's chunk from its successor) and engines.  The
-recorder's pull- and push-mode streaming must reproduce ``finish()``
-exactly, and incremental expansion must be a chunking-invariant
-(hypothesis property).
+Exact replay has one path (:meth:`CacheSimulator.run`), fed either a
+whole trace or a chunk stream.  Whatever the chunking, the array engine
+must be **bit-identical** to the dict oracle replaying the whole trace
+in one call — on per-label hits/misses/writebacks, resident lines,
+residency integrals (float ``==``), flush writebacks, and final cache
+state — across geometries x chunkings (single references, small
+primes, the whole trace, cuts at line-straddling references) x batch
+kernels (forced wave, forced scalar, adaptive).  The recorder's pull-
+and push-mode streaming must reproduce ``finish()`` exactly, and
+incremental expansion must be a chunking-invariant (hypothesis
+property).
 """
 
 import numpy as np
@@ -21,9 +23,34 @@ from repro.cachesim.expand import _expand_lines
 from repro.trace.recorder import TraceRecorder
 from repro.trace.reference import ReferenceTrace, iter_chunks
 
-from test_engine_differential import GEOMETRIES, assert_identical, random_trace
+from test_engine_differential import (
+    GEOMETRIES,
+    KERNELS,
+    assert_identical,
+    force_kernel,
+    random_trace,
+)
 
+#: Chunk sizes of the matrix; traces hold at most 1200 references, so
+#: 4096 is one chunk holding the whole trace.
 CHUNK_SIZES = [1, 3, 97, 4096]
+
+
+def chunked(trace, chunking, line_size):
+    """The trace as the replay input named by ``chunking``."""
+    if chunking == "whole":
+        return trace
+    if chunking == "straddle":
+        # Cut right before every reference that spans two or more
+        # lines, so straddles sit at chunk boundaries.
+        first = trace.addresses // line_size
+        last = (trace.addresses + trace.sizes - 1) // line_size
+        cuts = np.flatnonzero(last > first).tolist()
+        bounds = sorted({0, *cuts, len(trace)})
+        return (
+            trace.slice_refs(lo, hi) for lo, hi in zip(bounds, bounds[1:])
+        )
+    return iter_chunks(trace, chunking)
 
 
 def streamed_pair(geometry, **kwargs):
@@ -33,20 +60,33 @@ def streamed_pair(geometry, **kwargs):
 
 
 class TestStreamedBitIdentity:
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
-    @pytest.mark.parametrize("chunk_refs", CHUNK_SIZES)
-    def test_chunked_matches_monolithic(self, geometry, chunk_refs):
+    @pytest.mark.parametrize(
+        "chunking", CHUNK_SIZES + ["whole", "straddle"]
+    )
+    def test_chunked_matches_monolithic(
+        self, monkeypatch, chunking, geometry, kernel
+    ):
+        force_kernel(monkeypatch, kernel)
         rng = np.random.default_rng(
-            abs(hash((geometry.num_sets, geometry.line_size, chunk_refs)))
+            abs(hash((geometry.num_sets, geometry.line_size, chunking, kernel)))
             % (1 << 32)
         )
-        trace = random_trace(rng, n=int(rng.integers(50, 1200)))
-        mono, streamed = streamed_pair(geometry, engine="array")
-        mono.run(trace)
-        streamed.run_stream(iter_chunks(trace, chunk_refs))
-        assert_identical(streamed, mono, trace.labels)
-        assert mono.flush() == streamed.flush()
-        assert mono.stats.as_dict() == streamed.stats.as_dict()
+        for _ in range(2):
+            trace = random_trace(rng, n=int(rng.integers(50, 1200)))
+            streamed = CacheSimulator(
+                geometry, track_residency=True, engine="array"
+            )
+            oracle = CacheSimulator(
+                geometry, track_residency=True, engine="reference"
+            )
+            streamed.run(chunked(trace, chunking, geometry.line_size))
+            oracle.run(trace)
+            assert_identical(streamed, oracle, trace.labels)
+            # Flush writes back exactly the same dirty lines.
+            assert streamed.flush() == oracle.flush()
+            assert streamed.stats.as_dict() == oracle.stats.as_dict()
 
     def test_run_accepts_chunk_iterator(self):
         geometry = CacheGeometry(4, 64, 32)
@@ -79,7 +119,7 @@ class TestStreamedBitIdentity:
         )
         mono, streamed = streamed_pair(geometry, engine="array")
         mono.run(trace)
-        streamed.run_stream(iter_chunks(trace, 1))
+        streamed.run(iter_chunks(trace, 1))
         assert_identical(streamed, mono, trace.labels)
 
     def test_reference_engine_streams_too(self):
@@ -87,12 +127,12 @@ class TestStreamedBitIdentity:
         trace = random_trace(np.random.default_rng(11), n=400)
         mono, streamed = streamed_pair(geometry, engine="reference")
         mono.run(trace)
-        streamed.run_stream(iter_chunks(trace, 37))
+        streamed.run(iter_chunks(trace, 37))
         assert_identical(streamed, mono, trace.labels)
 
     def test_label_table_growing_across_chunks(self):
         # Streamed label tables grow as a prefix; engines intern by
-        # name, so per-label counters must line up with the monolithic
+        # name, so per-label counters must line up with the whole-trace
         # run even when early chunks lack later labels.
         geometry = CacheGeometry(4, 16, 32)
         rng = np.random.default_rng(19)
@@ -107,16 +147,16 @@ class TestStreamedBitIdentity:
                 rec.record_elements(label, indices[label], is_write=False)
         mono, streamed = streamed_pair(geometry, engine="array")
         mono.run(rec_a.finish())
-        streamed.run_stream(rec_b.finish_chunks(70))
+        streamed.run(rec_b.finish_chunks(70))
         assert_identical(streamed, mono, ["A", "B", "C"])
 
     def test_streaming_auto_resolves_to_array(self):
-        # A tiny first chunk must not route a long stream onto the dict
-        # oracle: streaming flips engine="auto" to the array engine.
+        # A chunk stream under engine="auto" replays on the array
+        # engine, however small its first chunk.
         geometry = CacheGeometry(4, 16, 32)
         trace = random_trace(np.random.default_rng(31), n=200)
         sim = CacheSimulator(geometry, engine="auto")
-        sim.run_stream(iter_chunks(trace, 5))
+        sim.run(iter_chunks(trace, 5))
         assert sim.engine == "array"
         mono = CacheSimulator(geometry, engine="array")
         mono.run(trace)
