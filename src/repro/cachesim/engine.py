@@ -55,6 +55,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.cachesim import expand
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.stats import CacheStats
 
@@ -611,6 +612,28 @@ class ArrayLRUEngine:
             [np.asarray(in_steps, dtype=np.int64)],
             [np.asarray(in_labels, dtype=np.int32)],
         )
+
+
+def lru_miss_count(line_ids: np.ndarray, geometry: CacheGeometry) -> int:
+    """Misses of a cold LRU cache of ``geometry`` over a line-id stream.
+
+    Read-only touches under one label, replayed through an
+    :class:`ArrayLRUEngine` in batches of
+    :data:`~repro.cachesim.expand.REPLAY_CHUNK_REFS`; line ids must be
+    non-negative.
+    """
+    ids = np.asarray(line_ids, dtype=np.int64)
+    engine = ArrayLRUEngine(geometry)
+    stats = CacheStats()
+    step = expand.REPLAY_CHUNK_REFS
+    reads = np.zeros(min(ids.size, step), dtype=bool)
+    labels = np.zeros(reads.size, dtype=np.int32)
+    for start in range(0, ids.size, step):
+        batch = ids[start : start + step]
+        engine.replay(
+            batch, reads[: batch.size], labels[: batch.size], ["lines"], stats
+        )
+    return stats.misses("lines")
 
 
 def _merge_events(

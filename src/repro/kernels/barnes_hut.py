@@ -13,6 +13,7 @@ particle array ``P`` (32-byte records: x, y, mass, padding).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,10 @@ from repro.trace.recorder import TraceRecorder
 
 _NODE_SIZE = 32
 _PARTICLE_SIZE = 32
+#: Entries kept by the quadtree-build and visit-frequency memos.  Every
+#: benchmark op and service job brings a new seed, so an unbounded memo
+#: grows for the life of the process; a sweep needs one entry at a time.
+_MEMO_ENTRIES = 4
 
 
 @dataclass
@@ -46,7 +51,13 @@ class _Node:
 
 
 class _QuadTree:
-    """A Barnes-Hut quadtree over the unit square."""
+    """A Barnes-Hut quadtree over the unit square.
+
+    After :meth:`build`, the tree is also held as flat per-node arrays
+    indexed by ``_Node.index``: ``children`` ``(N, 4)`` (``-1`` where a
+    quadrant is empty), ``mass``, ``comx``, ``comy``, ``half`` and
+    ``leaf`` — the input of the vectorised visit profiling.
+    """
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
@@ -98,6 +109,16 @@ class _QuadTree:
         for body in range(len(positions)):
             self.insert(body, positions[body, 0], positions[body, 1])
         self._summarise(self.root, positions, masses)
+        nodes = self.nodes
+        self.children = np.array(
+            [[-1 if c is None else c.index for c in node.children] for node in nodes],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        self.mass = np.array([node.mass for node in nodes])
+        self.comx = np.array([node.comx for node in nodes])
+        self.comy = np.array([node.comy for node in nodes])
+        self.half = np.array([node.half for node in nodes])
+        self.leaf = (self.children == -1).all(axis=1)
 
     def _summarise(self, node: _Node, positions, masses) -> float:
         if node.is_leaf:
@@ -139,13 +160,7 @@ class BarnesHutKernel(Kernel):
     method_class = "N-body method"
 
     def _build(self, workload: Workload) -> tuple[_QuadTree, np.ndarray, np.ndarray]:
-        n = int(workload["n"])
-        rng = np.random.default_rng(int(workload.get("seed", 0)))
-        positions = rng.random((n, 2))
-        masses = rng.random(n) + 0.1
-        tree = _QuadTree()
-        tree.build(positions, masses)
-        return tree, positions, masses
+        return _build_tree(int(workload["n"]), int(workload.get("seed", 0)))
 
     def tree_size(self, workload: Workload) -> int:
         """Number of quadtree nodes for this workload (deterministic)."""
@@ -236,29 +251,16 @@ class BarnesHutKernel(Kernel):
         Entry ``i`` is the fraction of walks that touch tree node ``i`` —
         the profiling input of the working-set random model (walks share
         the upper tree levels, so the distribution is heavily skewed).
-        Results are memoised per workload configuration.
+        All walks advance together, one tree level per step (see
+        :func:`_visit_counts`); the counts equal those of the per-body
+        :meth:`_force_walk`.  Results are memoised per workload
+        configuration in a bounded cache and returned read-only.
         """
-        key = (
+        return _visit_frequencies(
             int(workload["n"]),
             float(workload.get("theta", 0.5)),
             int(workload.get("seed", 0)),
         )
-        cached = self._freq_cache.get(key)
-        if cached is not None:
-            return cached
-        tree, positions, _ = self._build(workload)
-        theta = float(workload.get("theta", 0.5))
-        n = len(positions)
-        counts = np.zeros(len(tree.nodes), dtype=np.int64)
-        for body in range(n):
-            visits: set[int] = set()
-            self._force_walk(tree, positions, body, theta, visits.add)
-            counts[list(visits)] += 1
-        freqs = counts / n
-        self._freq_cache[key] = freqs
-        return freqs
-
-    _freq_cache: dict = {}
 
     def access_model(self, workload: Workload):
         n = int(workload["n"])
@@ -318,3 +320,59 @@ model nb {{
   }}
 }}
 """
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _build_tree(n: int, seed: int) -> tuple[_QuadTree, np.ndarray, np.ndarray]:
+    """The seeded bodies and their quadtree (shared: read-only)."""
+    rng = np.random.default_rng(seed)
+    positions = rng.random((n, 2))
+    masses = rng.random(n) + 0.1
+    tree = _QuadTree()
+    tree.build(positions, masses)
+    positions.flags.writeable = False
+    masses.flags.writeable = False
+    return tree, positions, masses
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _visit_frequencies(n: int, theta: float, seed: int) -> np.ndarray:
+    tree, positions, _ = _build_tree(n, seed)
+    freqs = _visit_counts(tree, positions, theta) / n
+    freqs.flags.writeable = False
+    return freqs
+
+
+def _visit_counts(
+    tree: _QuadTree, positions: np.ndarray, theta: float
+) -> np.ndarray:
+    """Number of force walks that visit each tree node.
+
+    A level-synchronous walk over ``(body, node)`` frontier arrays: one
+    step visits every pair, then opens the pairs whose node is non-empty,
+    internal and fails the opening criterion, and expands those into
+    their non-empty children.  A walk reaches each node at most once and
+    whether it does is independent of traversal order, and the criterion
+    is evaluated in :meth:`BarnesHutKernel._force_walk`'s operation
+    order, so the counts equal the per-body walks' exactly.
+    """
+    counts = np.zeros(len(tree.nodes), dtype=np.int64)
+    size2 = (2 * tree.half) ** 2
+    theta2 = theta * theta
+    body = np.arange(len(positions), dtype=np.int64)
+    node = np.zeros(len(positions), dtype=np.int64)
+    while node.size:
+        counts += np.bincount(node, minlength=counts.size)
+        dx = tree.comx[node] - positions[body, 0]
+        dy = tree.comy[node] - positions[body, 1]
+        dist2 = dx * dx + dy * dy + 1e-9
+        opened = (
+            (tree.mass[node] != 0.0)
+            & ~tree.leaf[node]
+            & ~(size2[node] < theta2 * dist2)
+        )
+        kids = tree.children[node[opened]]
+        present = kids != -1
+        body = np.repeat(body[opened], present.sum(axis=1))
+        node = kids[present]
+    return counts

@@ -1,4 +1,4 @@
-"""LRU stack (reuse) distance computation.
+"""LRU stack (reuse) distance computation and template miss walks.
 
 The template-based estimator needs, for every re-appearance of a cache
 block, the number of *distinct* blocks referenced since its previous
@@ -10,11 +10,20 @@ Implemented with the standard O(n log n) algorithm: a Fenwick (binary
 indexed) tree over reference positions marks the *latest* position of
 each block; the distance is the count of marked positions after the
 block's previous appearance.
+
+When the cache shape is known up front, the miss count needs no
+distances at all: :func:`lru_misses` walks a fully-associative LRU
+(an ``OrderedDict``, O(1) per reference) and
+:func:`set_associative_lru_misses` replays the blocks through the
+cache simulator's batched array engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.engine import lru_miss_count
 
 
 class _FenwickTree:
@@ -140,8 +149,11 @@ def lru_misses(block_ids: np.ndarray | list[int], cache_blocks: int) -> int:
 
     Exactly equivalent to ``misses_for_cache_blocks(stack_distances(b), c)``
     but O(1) per reference instead of O(log n): when the capacity is
-    known up front there is no need to materialise the distances.  This
-    is the hot path of the template estimator.
+    known up front there is no need to materialise the distances.  It
+    serves the template estimator's partial-cache-share and
+    fully-associative walks; one ``OrderedDict`` beats the array engine
+    with a single set here (EXPERIMENTS.md, "fig5 model layer in
+    numpy").
     """
     if cache_blocks < 1:
         return len(block_ids)
@@ -170,35 +182,22 @@ def set_associative_lru_misses(
 ) -> int:
     """Misses of a set-associative LRU cache over a block-id sequence.
 
-    Blocks map to sets by ``block % num_sets``.  Still O(1) per
-    reference; compared with :func:`lru_misses` (fully associative of
-    ``num_sets * ways`` blocks) this additionally captures conflict
+    Blocks map to sets by ``block % num_sets``; block ids must be
+    non-negative.  Compared with :func:`lru_misses` (fully associative
+    of ``num_sets * ways`` blocks) this additionally captures conflict
     misses — decisive near capacity, where one over-full set thrashes
-    while a fully-associative model predicts all-or-nothing.
+    while a fully-associative model predicts all-or-nothing.  The walk
+    is a replay through the batched array engine
+    (:func:`~repro.cachesim.engine.lru_miss_count`), which is
+    bit-identical to the dict-based oracle cache.
     """
     if ways < 1 or num_sets < 1:
         raise ValueError("num_sets and ways must be >= 1")
-    from collections import OrderedDict
-
-    sets: list[OrderedDict[int, None]] = [
-        OrderedDict() for _ in range(num_sets)
-    ]
-    misses = 0
-    ids = (
-        block_ids.tolist()
-        if isinstance(block_ids, np.ndarray)
-        else block_ids
-    )
-    for block in ids:
-        resident = sets[block % num_sets]
-        if block in resident:
-            resident.move_to_end(block)
-            continue
-        misses += 1
-        if len(resident) >= ways:
-            resident.popitem(last=False)
-        resident[block] = None
-    return misses
+    ids = np.asarray(block_ids, dtype=np.int64)
+    if ids.size and int(ids.min()) < 0:
+        raise ValueError("block ids must be non-negative")
+    # The line size is irrelevant to a replay of line ids.
+    return lru_miss_count(ids, CacheGeometry(ways, num_sets, 1))
 
 
 def positional_distances(block_ids: np.ndarray | list[int]) -> np.ndarray:

@@ -107,9 +107,11 @@ class TemplateAccess(AccessPattern):
         (e.g. repeated smoother sweeps); reuse distances are evaluated
         across repeats, so a cache-resident structure only misses cold.
     distance:
-        ``"stack"`` (default) walks the block template through a
-        set-associative LRU — the paper's two-step reuse-distance
-        criterion made conflict-aware; ``"fully-associative"`` is the
+        ``"stack"`` (default) replays the block template through the
+        cache simulator's array LRU engine on the real geometry — the
+        paper's two-step reuse-distance criterion made conflict-aware
+        (a partial ``cache_ratio`` falls back to the fully-associative
+        walk); ``"fully-associative"`` is the
         literal paper model (stack distance vs capacity);
         ``"positional"`` is the reference-count reading of the paper's
         step 2.  Both alternatives are kept for ablation.
@@ -186,15 +188,15 @@ class TemplateAccess(AccessPattern):
         cl = geometry.line_size
         e = self.element_size
         starts = self._indices * e
-        if e <= cl:
-            first = starts // cl
-            last = (starts + e - 1) // cl
-            if np.array_equal(first, last):
-                return first
-        blocks: list[int] = []
-        for s in starts.tolist():
-            blocks.extend(range(s // cl, (s + e - 1) // cl + 1))
-        return np.asarray(blocks, dtype=np.int64)
+        first = starts // cl
+        last = (starts + e - 1) // cl
+        if e <= cl and np.array_equal(first, last):
+            return first
+        # Element i contributes lines first[i] .. last[i], in order.
+        count = last - first + 1
+        offset = np.arange(int(count.sum()), dtype=np.int64)
+        offset -= np.repeat(np.cumsum(count) - count, count)
+        return np.repeat(first, count) + offset
 
     # ------------------------------------------------------------------
     def estimate_accesses(self, geometry: CacheGeometry) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cachesim import PAPER_CACHES, simulate_trace
 from repro.kernels import BarnesHutKernel, Workload
-from repro.kernels.barnes_hut import _QuadTree
+from repro.kernels.barnes_hut import _QuadTree, _visit_counts
 
 
 @pytest.fixture
@@ -95,6 +95,64 @@ class TestProfiling:
         a = kernel.profile_frequencies(workload)
         b = kernel.profile_frequencies(workload)
         assert a is b
+
+    def test_shared_arrays_are_read_only(self, kernel, workload):
+        _, positions, masses = kernel._build(workload)
+        freqs = kernel.profile_frequencies(workload)
+        for shared in (positions, masses, freqs):
+            with pytest.raises(ValueError):
+                shared[0] = 0.5
+
+    def test_build_memoised(self, kernel, workload):
+        assert kernel._build(workload)[0] is kernel._build(workload)[0]
+
+
+def _scalar_visit_counts(kernel, tree, positions, theta):
+    """Visit counts from one per-body ``_force_walk`` each."""
+    counts = np.zeros(len(tree.nodes), dtype=np.int64)
+    for body in range(len(positions)):
+        visits: list[int] = []
+        kernel._force_walk(tree, positions, body, theta, visits.append)
+        # A walk reaches each node at most once.
+        assert len(visits) == len(set(visits))
+        counts[visits] += 1
+    return counts
+
+
+class TestVectorisedProfiling:
+    """The level-synchronous walk equals the per-body walks exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 1000])
+    def test_counts_equal_scalar_walk(self, kernel, n, theta, seed):
+        tree, positions, _ = kernel._build(
+            Workload("t", {"n": n, "seed": seed})
+        )
+        assert np.array_equal(
+            _visit_counts(tree, positions, theta),
+            _scalar_visit_counts(kernel, tree, positions, theta),
+        )
+
+    def test_profile_frequencies_are_counts_over_bodies(self, kernel):
+        workload = Workload("t", {"n": 200, "theta": 0.5, "seed": 3})
+        tree, positions, _ = kernel._build(workload)
+        counts = _scalar_visit_counts(kernel, tree, positions, 0.5)
+        assert np.array_equal(
+            kernel.profile_frequencies(workload), counts / 200
+        )
+
+    def test_flat_arrays_mirror_nodes(self, kernel):
+        tree, _, _ = kernel._build(Workload("t", {"n": 200, "seed": 1}))
+        for node in tree.nodes:
+            i = node.index
+            assert list(tree.children[i]) == [
+                -1 if c is None else c.index for c in node.children
+            ]
+            assert tree.leaf[i] == node.is_leaf
+            assert (tree.mass[i], tree.comx[i], tree.comy[i], tree.half[i]) == (
+                node.mass, node.comx, node.comy, node.half
+            )
 
 
 class TestTraceAndModel:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, simulate_trace
+from repro.cachesim import CacheGeometry, SetAssociativeCache, simulate_trace
+from repro.cachesim import expand as expand_module
 from repro.patterns import (
     PatternError,
     SweepTemplate,
@@ -13,7 +14,11 @@ from repro.patterns import (
     expand_sweep,
     stack_distances,
 )
-from repro.patterns.distance import misses_for_cache_blocks, positional_distances
+from repro.patterns.distance import (
+    misses_for_cache_blocks,
+    positional_distances,
+    set_associative_lru_misses,
+)
 from repro.trace import TraceRecorder
 
 SMALL = CacheGeometry(4, 64, 32, "small")
@@ -63,6 +68,49 @@ class TestStackDistances:
     def test_cold_count_equals_distinct_blocks(self, blocks):
         d = stack_distances(blocks)
         assert int(np.count_nonzero(d < 0)) == len(set(blocks))
+
+
+def _oracle_misses(blocks, num_sets, ways):
+    """Misses of the dict-based oracle cache over a block sequence."""
+    cache = SetAssociativeCache(CacheGeometry(ways, num_sets, 32))
+    return sum(0 if cache.access_line(b, False, "A") else 1 for b in blocks)
+
+
+class TestSetAssociativeWalk:
+    """The engine-backed template walk equals the dict oracle exactly."""
+
+    @given(
+        st.lists(st.integers(0, 200), max_size=400),
+        st.integers(1, 12),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, blocks, num_sets, ways):
+        # num_sets 1..12 covers powers of two (mask) and the % path.
+        assert set_associative_lru_misses(
+            np.asarray(blocks, dtype=np.int64), num_sets, ways
+        ) == _oracle_misses(blocks, num_sets, ways)
+
+    @pytest.mark.parametrize("batch_refs", [1, 3])
+    @pytest.mark.parametrize("num_sets,ways", [(4, 2), (6, 3), (1, 8), (7, 1)])
+    def test_batch_edges(self, monkeypatch, batch_refs, num_sets, ways):
+        rng = np.random.default_rng([batch_refs, num_sets, ways])
+        blocks = rng.integers(0, 64, 300)
+        expected = _oracle_misses(blocks.tolist(), num_sets, ways)
+        monkeypatch.setattr(expand_module, "REPLAY_CHUNK_REFS", batch_refs)
+        assert set_associative_lru_misses(blocks, num_sets, ways) == expected
+
+    def test_accepts_lists_and_empty_input(self):
+        assert set_associative_lru_misses([0, 4, 0, 8, 0], 4, 2) == 3
+        assert set_associative_lru_misses([], 4, 2) == 0
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            set_associative_lru_misses([0, 1], 0, 2)
+        with pytest.raises(ValueError):
+            set_associative_lru_misses([0, 1], 4, 0)
+        with pytest.raises(ValueError):
+            set_associative_lru_misses([0, -1], 4, 2)
 
 
 class TestSweepTemplate:
@@ -164,6 +212,28 @@ class TestTemplateAccess:
         pattern = TemplateAccess(64, [0, 1])
         blocks = pattern.block_template(SMALL)
         assert list(blocks) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("line_size", [32, 64])
+    @pytest.mark.parametrize("element_size", [1, 8, 16, 24, 48, 64, 100, 200])
+    def test_block_template_matches_per_element_walk(
+        self, element_size, line_size
+    ):
+        rng = np.random.default_rng([element_size, line_size])
+        indices = np.concatenate(
+            [np.arange(40), rng.integers(0, 500, 200), [499, 0, 0]]
+        )
+        pattern = TemplateAccess(element_size, indices)
+        geometry = CacheGeometry(4, 64, line_size)
+        expected = [
+            line
+            for start in (indices * element_size).tolist()
+            for line in range(
+                start // line_size, (start + element_size - 1) // line_size + 1
+            )
+        ]
+        blocks = pattern.block_template(geometry)
+        assert blocks.dtype == np.int64
+        assert blocks.tolist() == expected
 
     def test_bad_distance_mode_rejected(self):
         with pytest.raises(PatternError):
