@@ -319,7 +319,7 @@ def simulate_trace(
         )
     if mode == "estimate":
         # Late import: repro.cachesim.estimate imports from this module's
-        # siblings, keeping the exact path free of scipy.
+        # siblings, and the exact path never loads the estimator.
         from repro.cachesim.estimate import estimate_trace
 
         if policy != "lru":

@@ -13,7 +13,7 @@ to d — whose ranking DVF approximates *without running a single fault*.
 
 from __future__ import annotations
 
-from scipy import stats as sp_stats
+import numpy as np
 
 from repro.core.dvf import DVFReport, n_error
 from repro.faultinject.campaign import CampaignResult
@@ -59,5 +59,32 @@ def rank_agreement(
         # ranking information — report NaN rather than a spurious value.
         return float("nan"), empirical
     dvf_values = [report.structure(name).dvf for name in names]
-    rho = sp_stats.spearmanr(dvf_values, emp_values).statistic
-    return float(rho), empirical
+    return spearman_rho(dvf_values, emp_values), empirical
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their mean rank."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts_group = np.r_[True, ordered[1:] != ordered[:-1]]
+    first = np.flatnonzero(starts_group)
+    end = np.r_[first[1:], values.size]  # one past each tie group
+    ranks = np.empty(values.size)
+    ranks[order] = ((first + 1 + end) / 2.0)[np.cumsum(starts_group) - 1]
+    return ranks
+
+
+def spearman_rho(x, y) -> float:
+    """Spearman's rank correlation: Pearson's r of the average ranks.
+
+    NaN when an input holds a NaN or is constant (no ranking to compare).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    if (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])

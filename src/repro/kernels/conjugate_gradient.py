@@ -328,10 +328,19 @@ model cg {{
 
 
 def _apply_ic(lfac: np.ndarray | None, r: np.ndarray) -> np.ndarray:
-    """Solve ``L L^T z = r`` with the dense-stored IC factor."""
+    """Solve ``L L^T z = r`` with the dense-stored IC factor.
+
+    Forward substitution for ``L y = r``, then back substitution for
+    ``L^T z = y``, both reading ``L`` row by row: O(n^2) per solve.
+    """
     if lfac is None:
         return r
-    import scipy.linalg as sla
-
-    y = sla.solve_triangular(lfac, r, lower=True)
-    return sla.solve_triangular(lfac.T, y, lower=False)
+    n = r.size
+    y = np.empty(n)
+    for i in range(n):
+        y[i] = (r[i] - lfac[i, :i] @ y[:i]) / lfac[i, i]
+    z = y.copy()
+    for i in range(n - 1, -1, -1):
+        z[i] /= lfac[i, i]
+        z[:i] -= lfac[i, :i] * z[i]
+    return z

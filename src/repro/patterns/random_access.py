@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.cachesim.configs import CacheGeometry
 from repro.patterns.base import (
@@ -21,6 +20,7 @@ from repro.patterns.base import (
     ceil_div,
     max_lines_per_reference,
 )
+from repro.patterns.distributions import hypergeom_pmf, student_t_ppf
 
 
 class RandomAccess(AccessPattern):
@@ -120,15 +120,9 @@ class RandomAccess(AccessPattern):
             return k * (1.0 - m / n_total)
         # Explicit Eq. 5-6 sum (integer k only).
         k_int = int(round(k))
-        dist = sp_stats.hypergeom(M=n_total, n=k_int, N=m)  # overlap pmf
         lo = max(0, k_int - (n_total - m))
-        hi = min(k_int, m)
-        expected = 0.0
-        for overlap in range(lo, hi + 1):
-            x = k_int - overlap
-            if x >= 1:
-                expected += dist.pmf(overlap) * x
-        return expected
+        overlap = np.arange(lo, min(k_int, m) + 1)
+        return float(hypergeom_pmf(overlap, n_total, k_int, m) @ (k_int - overlap))
 
     def reload_blocks_per_iteration(self, geometry: CacheGeometry) -> float:
         """``B_reload`` of Eq. 7."""
@@ -300,7 +294,7 @@ def finite_population_total(
         return total, math.inf
     variance = float(values.var(ddof=1))
     se = big_g * math.sqrt((1.0 - g / big_g) * variance / g)
-    t = float(sp_stats.t.ppf(0.5 + confidence / 2.0, df=g - 1))
+    t = student_t_ppf(0.5 + confidence / 2.0, g - 1)
     return total, t * se
 
 

@@ -24,10 +24,10 @@ Paper ambiguities resolved here (see DESIGN.md §5):
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.cachesim.configs import CacheGeometry
 from repro.patterns.base import AccessPattern, PatternError, ceil_div
+from repro.patterns.distributions import binom_pmf
 
 _SCENARIOS = ("exclusive", "concurrent", "hypergeometric")
 
@@ -72,12 +72,12 @@ def set_occupancy_pmf(
         pmf[min(base, ca)] += (geometry.num_sets - extra) / geometry.num_sets
         pmf[min(base + 1, ca)] += extra / geometry.num_sets
         return pmf
-    dist = sp_stats.binom(blocks, 1.0 / geometry.num_sets)
+    p = 1.0 / geometry.num_sets
     if blocks < ca:
         # All mass already lies in 0..blocks; no truncation needed.
-        pmf[: blocks + 1] = dist.pmf(np.arange(blocks + 1))
+        pmf[: blocks + 1] = binom_pmf(np.arange(blocks + 1), blocks, p)
     else:
-        pmf[:ca] = dist.pmf(np.arange(ca))
+        pmf[:ca] = binom_pmf(np.arange(ca), blocks, p)
         pmf[ca] = max(1.0 - float(pmf[:ca].sum()), 0.0)
     return pmf
 

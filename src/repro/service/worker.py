@@ -148,7 +148,7 @@ def _run_kernel(spec: JobSpec, degraded: bool) -> dict:
     if degraded:
         # Degraded mode is the circuit breaker's safe path: the
         # reference engine is the trusted oracle, and exact replay
-        # avoids the estimator's scipy dependency surface.  Streaming
+        # avoids the estimator's sampling code entirely.  Streaming
         # chunk replay stays available — its whole point is a smaller
         # memory footprint, the likeliest reason the fast path died.
         engine = "reference"

@@ -1,5 +1,10 @@
 """Tests for the built-in Aspen model library."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.aspen import MachineModel, compile_source, parse
@@ -80,3 +85,37 @@ class TestMachineLibrary:
             builtin_source("VM", "test") + MACHINE_LIBRARY, machine="large"
         )
         assert compiled.nha_total() > 0
+
+
+class TestHashSeedIndependence:
+    """Report rows and ``DVF_a`` must not follow ``PYTHONHASHSEED``."""
+
+    PROBE = """
+from repro.aspen import MACHINE_LIBRARY, builtin_source, compile_source
+from repro.experiments.aspen_batch import compiled_report
+
+source = builtin_source("CG", "test") + MACHINE_LIBRARY
+for mode in ("strict", "lenient"):
+    report = compiled_report(
+        compile_source(source, machine="cache_16kb", mode=mode)
+    )
+    print([s.name for s in report.structures], repr(report.dvf_application))
+"""
+
+    def test_cg_rows_and_dvf_a_equal_across_hash_seeds(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+            run = subprocess.run(
+                [sys.executable, "-c", self.PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
+        # First appearance in CG's access order "(Ap)p(xp)rr(rp)".
+        assert outputs[0].splitlines()[0].startswith("['A', 'p', 'x', 'r']")

@@ -8,7 +8,11 @@ import pytest
 
 from repro.cachesim import CacheGeometry
 from repro.experiments.configs import FIG6_CACHE, KERNEL_ORDER
-from repro.experiments.fig4_verification import render_fig4, run_fig4
+from repro.experiments.fig4_verification import (
+    evaluation_cost,
+    render_fig4,
+    run_fig4,
+)
 from repro.experiments.fig5_profiling import (
     application_dvf,
     render_fig5,
@@ -48,9 +52,16 @@ class TestFig4:
         assert within / len(errors) >= 0.85
 
     def test_model_is_cheaper_than_simulation(self, fig4_rows):
-        model = sum(r.model_seconds for r in fig4_rows)
-        simulation = sum(r.simulation_seconds for r in fig4_rows)
+        model, simulation = evaluation_cost(fig4_rows)
         assert model < simulation
+
+    def test_evaluation_cost_counts_each_cell_once(self, fig4_rows):
+        """Cell timings repeat on every structure row of the cell."""
+        cells = {(r.kernel, r.cache): r for r in fig4_rows}
+        assert len(cells) < len(fig4_rows)  # CG, NB and MC have several rows
+        model, simulation = evaluation_cost(fig4_rows)
+        assert model == sum(r.model_seconds for r in cells.values())
+        assert simulation == sum(r.simulation_seconds for r in cells.values())
 
     def test_render(self, fig4_rows):
         text = render_fig4(fig4_rows)
@@ -103,6 +114,21 @@ class TestFig6:
     def test_render(self, rows):
         text = render_fig6(rows)
         assert "Figure 6" in text and "PCG" in text
+
+    def test_matches_recorded_sweep(self):
+        """Iteration counts and DVFs as recorded when PCG's triangular
+        solves still ran in LAPACK (``scipy.linalg.solve_triangular``)."""
+        recorded = [
+            (100, 46, 13, 5.119648996988932e-10, 5.676602308485244e-10),
+            (200, 68, 16, 4.1896477446500656e-08, 3.903858388524305e-08),
+            (300, 87, 19, 5.464692725646364e-07, 4.7412219085818283e-07),
+            (400, 111, 22, 4.878021148681641e-06, 3.84813837890625e-06),
+        ]
+        rows = run_fig6(sizes=(100, 200, 300, 400))
+        assert [
+            (r.problem_size, r.cg_iterations, r.pcg_iterations, r.cg_dvf, r.pcg_dvf)
+            for r in rows
+        ] == recorded
 
 
 class TestFig7:
